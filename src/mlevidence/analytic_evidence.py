@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import gammaln
-from scipy.stats import norm, truncnorm
 
 from mlevidence.likelihood_core import LOG_2PI
 from mlevidence.model_spec import assemble_sigma_eta
@@ -47,7 +46,12 @@ def _effective_prior_cov(spec):
 
 
 def nig_posterior(stats, spec):
-    """Exact posterior update for the conjugate family (prior mean zero)."""
+    """Exact posterior update for the conjugate family.
+
+    With prior precision L0 = (gamma * prior_cov)^-1 and prior mean mu0:
+    Ln = L0 + X^T X, mun = Ln^-1 (L0 mu0 + X^T y) and
+    bn = b + (y^T y + mu0^T L0 mu0 - mun^T Ln mun) / 2.
+    """
     if spec.family != "LinearModelNIG":
         raise ValueError("nig_posterior requires the LinearModelNIG family")
     cov = _effective_prior_cov(spec)
@@ -57,9 +61,13 @@ def nig_posterior(stats, spec):
     cA, lowA = cho_factor(A, lower=True)
     cov_factor = cho_solve((cA, lowA), np.eye(spec.d))
     cov_factor = 0.5 * (cov_factor + cov_factor.T)
-    mean = cho_solve((cA, lowA), stats.sum_xy)
+    prec_mu = prec @ spec.prior_mean
+    rhs = prec_mu + stats.sum_xy
+    mean = cho_solve((cA, lowA), rhs)
     a, b = spec.ig_y.shape, spec.ig_y.scale
-    b_post = b + 0.5 * (stats.sum_yy - float(stats.sum_xy @ mean))
+    b_post = b + 0.5 * (
+        stats.sum_yy + float(spec.prior_mean @ prec_mu) - float(rhs @ mean)
+    )
     return NIGPosterior(
         shape=stats.n / 2.0 + a, scale=float(b_post), mean=mean, cov_factor=cov_factor
     )
@@ -114,28 +122,12 @@ def _gauss_legendre_log_integral(logf, center, half_widths, order):
 
 def _latent_layout(data, spec):
     """Latent coordinates integrated by the integrated-likelihood evaluators."""
-    d = data.d
-    if spec.family in ("LinearModel", "LinearModelNIG"):
-        return d, 0, 0
-    if spec.family == "SimpleMultilevel":
-        return d, data.J, 1
-    return d, data.J, data.m
-
-
-def _full_loglik_rows(data, beta, eta_flat, meff, sigma2_y):
-    """Row-by-row Gaussian log likelihood, independent of SufficientStats."""
-    mean = data.x @ beta
-    if meff == 1 and data.m == 0:
-        mean = mean + eta_flat[data.group_of - 1]
-    elif meff > 0:
-        eta = eta_flat.reshape(data.J, meff)
-        mean = mean + np.sum(data.z * eta[data.group_of - 1], axis=1)
-    resid = data.y - mean
-    return float(np.sum(norm.logpdf(resid, scale=np.sqrt(sigma2_y))))
+    meff = spec.layout.group_width
+    return data.d, data.J if meff else 0, meff
 
 
 def _full_loglik_rows_batch(data, beta, eta_flat, meff, sigma2_y):
-    """Vectorized counterpart of :func:`_full_loglik_rows` over (N, .) blocks."""
+    """Row-by-row Gaussian log likelihood over (N, .) blocks, independent of SufficientStats."""
     mean = beta @ data.x.T                                # (N, n)
     if meff == 1 and data.m == 0:
         mean = mean + eta_flat[:, data.group_of - 1]
@@ -257,23 +249,16 @@ def quadrature_evidence(data, spec, *, fixed_theta=None, target=1e-8, max_order=
         )
 
     d, J, meff = _latent_layout(data, spec)
-    if spec.family == "LinearModel":
-        n_var = 1
-    elif spec.family == "LinearModelNIG":
-        n_var = 1
-    elif spec.family == "SimpleMultilevel":
-        n_var = 2
-    else:
-        if spec.corr_prior is not None and not spec.corr_prior.is_fixed:
-            raise QuadratureError("sampled correlations are outside the oracle's reach")
-        n_var = 1 + len(spec.ig_eta)
+    if spec.layout.rho_sampled:
+        raise QuadratureError("sampled correlations are outside the oracle's reach")
+    igs = spec.layout.igs
+    n_var = len(igs)
     k = d + J * meff + n_var
     if k > 3:
         raise QuadratureError(f"integration dimension {k} exceeds the oracle limit of 3")
 
     Lb = cholesky(spec.prior_cov, lower=True)
     logdet_b = 2.0 * float(np.sum(np.log(np.diag(Lb))))
-    igs = [spec.ig_y] + (list(spec.ig_eta) if spec.ig_eta else [])
 
     def log_joint(pts):
         beta = pts[:, :d]

@@ -183,7 +183,7 @@ def _load_sim_csv(path, cfg, spec):
     # Simulator CSVs always carry the z block; single-level models ignore it.
     schema = _generic_schema(spec, n_z=4)
     data = load_csv(path, schema)
-    if spec.family in ("LinearModel", "LinearModelNIG"):
+    if not spec.layout.group_width:
         from mlevidence.data_model import Dataset
 
         data = Dataset(y=data.y, x=data.x, z=np.zeros((data.n, 0)), group_of=data.group_of)
@@ -301,13 +301,13 @@ def cmd_compare(args):
             a = aic(data, spec)
             entry.update(
                 log_evidence=est.mean, std=est.std, aic=a.aic, k=a.k,
-                max_loglik=a.max_loglik, error=None, _est=est,
+                max_loglik=a.max_loglik, aic_converged=a.converged, error=None, _est=est,
             )
             deviations += devs
         except Exception as exc:  # noqa: BLE001 - per-model failure isolation
             entry.update(
                 log_evidence=None, std=None, aic=None, k=None,
-                max_loglik=None, error=f"{type(exc).__name__}: {exc}",
+                max_loglik=None, aic_converged=None, error=f"{type(exc).__name__}: {exc}",
             )
         rows.append(entry)
 
@@ -360,6 +360,7 @@ def cmd_compare(args):
             print(
                 f"{r['model']:<{width}}  rank {r['evidence_rank']}  "
                 f"logZ {r['log_evidence']:.2f} ({r['std']:.2f})  AIC {r['aic']:.2f}"
+                + ("" if r["aic_converged"] else " (AIC search not converged)")
             )
         else:
             print(f"{r['model']:<{width}}  ERROR: {r['error']}")
@@ -368,7 +369,10 @@ def cmd_compare(args):
 
 def _write_compare_csv(path, rows):
     buf = io.StringIO()
-    cols = ["model", "evidence_rank", "log_evidence", "std", "aic", "aic_rank", "k", "error"]
+    cols = [
+        "model", "evidence_rank", "log_evidence", "std", "aic", "aic_rank", "k",
+        "aic_converged", "error",
+    ]
     writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for r in rows:
@@ -390,16 +394,15 @@ def cmd_fit_export(args):
     post = recover_beta_posterior(cloud, stats, spec, "integrated")
 
     eta_means = eta_covs = None
-    if spec.family in ("SimpleMultilevel", "GeneralMultilevel"):
-        w = cloud.normalized_weights()
-        nat = variance_block_to_natural(spec, cloud.particles)
-        bar = w @ nat
-        if spec.family == "SimpleMultilevel":
-            theta = ThetaPoint(sigma2_y=bar[0], sigma2_eta=bar[1])
-        else:
-            m = spec.eta_structure.m
-            rho = bar[1 + m] if nat.shape[1] > 1 + m else spec.corr_prior.value
+    layout = spec.layout
+    if layout.group_width:
+        bar = cloud.normalized_weights() @ variance_block_to_natural(spec, cloud.particles)
+        m = layout.group_width
+        if layout.z_effects:
+            rho = bar[1 + m] if layout.rho_sampled else layout.fixed_rho
             theta = ThetaPoint(sigma2_y=bar[0], nu=(bar[1:1 + m], rho))
+        else:
+            theta = ThetaPoint(sigma2_y=bar[0], sigma2_eta=bar[1])
         eta_means = conditional_eta_means(stats, spec, theta, post.mean)
         eta_covs = None  # group-effect spread is not propagated into the bands
 

@@ -1,24 +1,30 @@
 """Sufficient statistics and integrated / full log-likelihood evaluators.
 
-All data-only sums are computed once (:func:`precompute`) and every
-evaluator is a pure function of ``(stats, spec, theta)``.  Matrix inverses
-go through Cholesky factorizations and log-determinants are read off the
-Cholesky diagonal; quadratic forms are computed as triangular solves, so
-explicit inverses are never formed even when the design is wide.
+All data-only sums are computed once (:func:`precompute`).  Each family
+then has one kernel (:func:`posterior_system`) that maps a block of
+natural variance rows to the Gaussian posterior-precision system of the
+coefficients: ``A``, ``rhs``, the remaining log-determinant and data-fit
+terms, and a mask of rows with zero density.  Every other evaluator reads
+that system: the batched integrated likelihood, the conditional
+coefficient posteriors, the AIC profile (with a flat prior), and the
+one-point functions ``log_integrated_*``, which are one-row calls.
 
-Batched variants (``batch_*``) evaluate whole particle clouds at once and
-are numerically equivalent to the scalar functions; the scalar functions
-remain the reference implementations.
+None of them is a reference for the others.  The references are
+independent of the kernel: the quadrature oracle
+(:func:`mlevidence.analytic_evidence.quadrature_log_integrated`), the
+frozen oracle constants in the tests, and the tests against dense n x n
+Gaussian marginals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from mlevidence.model_spec import NotPositiveDefiniteError, assemble_sigma_eta
+from mlevidence.model_spec import Z_EFFECTS, assemble_sigma_eta
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -121,22 +127,46 @@ def precompute(data):
     )
 
 
-def _prior_terms(mu, cov):
-    """Cholesky-derived prior quantities: precision, precision @ mean, logdet, quad."""
-    c, lower = cho_factor(cov, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    prec = cho_solve((c, lower), np.eye(cov.shape[0]))
-    prec_mu = cho_solve((c, lower), mu)
-    quad = float(mu @ prec_mu)
-    return prec, prec_mu, logdet, quad
+class CoefPrior(NamedTuple):
+    """Terms of the coefficient prior N(mu, cov): cov^-1, cov^-1 mu, log|cov|,
+    mu^T cov^-1 mu and the lower Cholesky factor of cov (None when flat)."""
+
+    prec: np.ndarray
+    prec_mu: np.ndarray
+    logdet: float
+    quad: float
+    chol: np.ndarray | None
+
+    @classmethod
+    def of(cls, spec):
+        L = cholesky(spec.prior_cov, lower=True)
+        prec_mu = cho_solve((L, True), spec.prior_mean)
+        return cls(cho_solve((L, True), np.eye(spec.d)), prec_mu,
+                   2.0 * float(np.sum(np.log(np.diag(L)))), float(spec.prior_mean @ prec_mu), L)
+
+    @classmethod
+    def flat(cls, d):
+        """Zero prior precision, for the profile likelihood of the AIC."""
+        return cls(np.zeros((d, d)), np.zeros(d), 0.0, 0.0, None)
 
 
-def _logdet_and_quad(precision, rhs):
-    """log|precision| and rhs^T precision^-1 rhs via one Cholesky."""
-    L = cholesky(precision, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    t = solve_triangular(L, rhs, lower=True)
-    return logdet, float(t @ t), L
+class System(NamedTuple):
+    """Posterior-precision system of a block of P variance rows.
+
+    The integrated log likelihood of a row is
+    ``-0.5 * (n log 2pi + log|A| + logdet + datafit - rhs^T A^-1 rhs)`` and
+    the conditional coefficient posterior is ``N(A^-1 rhs, A^-1)``.  When
+    ``basis`` is set, ``A`` is diagonal, stored as (P, d), in the
+    coordinates g of ``beta = basis @ g``; ``logdet`` then carries the
+    change of basis.
+    """
+
+    A: np.ndarray           # (P, d, d), or (P, d) diagonal in the basis
+    rhs: np.ndarray         # (P, d)
+    logdet: np.ndarray      # (P,) log-determinant terms besides log|A|
+    datafit: np.ndarray     # (P,) quadratic terms besides rhs^T A^-1 rhs
+    ok: np.ndarray          # (P,) False where the row has zero density
+    basis: np.ndarray | None
 
 
 def _check_family(spec, *allowed):
@@ -144,15 +174,179 @@ def _check_family(spec, *allowed):
         raise ValueError(f"family {spec.family!r} not valid here (expected {allowed})")
 
 
-def _lm_core(stats, mu, cov, sigma2):
-    prec, prec_mu, logdet_prior, quad_prior = _prior_terms(mu, cov)
-    A = prec + stats.gram_xx / sigma2
-    rhs = prec_mu + stats.sum_xy / sigma2
-    logdet_post, quad_post, _ = _logdet_and_quad(A, rhs)
-    return -0.5 * (
-        logdet_post + logdet_prior + stats.n * (LOG_2PI + np.log(sigma2))
-        + quad_prior + stats.sum_yy / sigma2 - quad_post
-    )
+def theta_row(theta):
+    """The (1, k) natural row of a ThetaPoint; the correlation is always included."""
+    row = [theta.sigma2_y]
+    if theta.sigma2_eta is not None:
+        row.append(theta.sigma2_eta)
+    if theta.nu is not None:
+        row += [*theta.nu[0], theta.nu[1]]
+    return np.array([row], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# One kernel per family: natural variance rows -> System.
+# ---------------------------------------------------------------------------
+
+def _single_level_kernel(stats, spec, prior):
+    """LinearModel and LinearModelNIG, in the prior-whitened eigenbasis of X^T X.
+
+    With ``basis = L Q``, where ``L L^T`` is the prior covariance and Q
+    diagonalizes ``L^T X^T X L``, the precision is diagonal for every
+    sigma2: one eigendecomposition, then O(d) per row.  The conjugate
+    family's prior covariance ``gamma * sigma2 * L L^T`` scales the prior
+    terms by ``c = 1 / (gamma * sigma2)``.  Needs a proper prior.
+    """
+    L = prior.chol
+    lam, Q = np.linalg.eigh(L.T @ stats.gram_xx @ L)
+    lam = np.clip(lam, 0.0, None)
+    a = Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
+    b = Q.T @ (L.T @ stats.sum_xy)
+    basis = L @ Q
+
+    def system(nat):
+        s2 = nat[:, 0]
+        c = np.ones(s2.shape) if spec.gamma is None else 1.0 / (spec.gamma * s2)
+        return System(
+            A=c[:, None] + lam[None, :] / s2[:, None],
+            rhs=c[:, None] * a[None, :] + b[None, :] / s2[:, None],
+            # log|L L^T| itself cancels against |det basis|^2.
+            logdet=stats.n * np.log(s2) - stats.d * np.log(c),
+            datafit=c * prior.quad + stats.sum_yy / s2,
+            ok=np.ones(s2.shape, dtype=bool),
+            basis=basis,
+        )
+
+    return system
+
+
+def _sm_kernel(stats, spec, prior):
+    """SimpleMultilevel: group intercepts integrated out in closed form.
+
+    Each group contributes a rank-one correction with shrinkage weight
+    ``w_j = sigma2_eta / (sigma2_y + n_j sigma2_eta)``; the corrections of a
+    block are one product against the stacked per-group outer products.
+    """
+    d = stats.d
+    nj = stats.n_per_group.astype(float)
+    Yj, Xj = stats.group_sum_y, stats.group_sum_x
+    outer = np.einsum("ja,jb->jab", Xj, Xj).reshape(stats.J, d * d)
+    yx = Yj[:, None] * Xj
+    yy = Yj ** 2
+
+    def system(nat):
+        s2y, s2e = nat[:, 0], nat[:, 1]
+        w = s2e[:, None] / (s2y[:, None] + nj[None, :] * s2e[:, None])
+        return System(
+            A=prior.prec[None] + (
+                stats.gram_xx[None] - (w @ outer).reshape(-1, d, d)
+            ) / s2y[:, None, None],
+            rhs=prior.prec_mu[None] + (stats.sum_xy[None] - w @ yx) / s2y[:, None],
+            logdet=prior.logdet + stats.n * np.log(s2y)
+            + np.sum(np.log1p(nj[None, :] * s2e[:, None] / s2y[:, None]), axis=1),
+            datafit=prior.quad + (stats.sum_yy - w @ yy) / s2y,
+            ok=np.ones(s2y.shape, dtype=bool),
+            basis=None,
+        )
+
+    return system
+
+
+def _gm_kernel(stats, spec, prior):
+    """GeneralMultilevel: per-group m x m blocks integrated out.
+
+    Rows whose group-level covariance fails the positive-definiteness gate
+    are computed on a stand-in matrix and masked.
+    """
+    layout = spec.layout
+    J, d, m = stats.J, stats.d, layout.group_width
+    Gz, Szy = stats.group_gram_zz, stats.group_sum_zy
+    # Group corrections as one tall matmul: with B_j = M_j^{-1} [C_j^T s_j]
+    # the sums over j of C_j B_j collapse to a (d+1)-column product.
+    cxz_t = stats.group_cross_xz.transpose(0, 2, 1)          # (J, m, d)
+    rhs_j = np.concatenate([cxz_t, Szy[:, :, None]], axis=2)
+    cbig = cxz_t.reshape(J * m, d)
+
+    def system(nat):
+        s2y = nat[:, 0]
+        P = s2y.shape[0]
+        se, ok = layout.sigma_eta(nat)
+        Le = np.linalg.cholesky(se)
+        logdet_eta = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
+        Mj = np.linalg.inv(se)[:, None] + Gz[None] / s2y[:, None, None, None]
+        Lj = np.linalg.cholesky(Mj)
+        sum_logdet_groups = 2.0 * np.sum(np.log(np.einsum("pjii->pji", Lj)), axis=(1, 2))
+        B = np.linalg.inv(Mj) @ rhs_j[None]                     # (P, J, m, d+1)
+        prod = cbig.T[None] @ B.reshape(P, J * m, d + 1)
+        s4 = s2y * s2y
+        return System(
+            A=prior.prec[None] + stats.gram_xx[None] / s2y[:, None, None]
+            - prod[:, :, :d] / s4[:, None, None],
+            rhs=prior.prec_mu[None] + stats.sum_xy[None] / s2y[:, None] - prod[:, :, d] / s4[:, None],
+            logdet=prior.logdet + stats.n * np.log(s2y) + J * logdet_eta + sum_logdet_groups,
+            datafit=prior.quad + stats.sum_yy / s2y
+            - np.einsum("pjm,jm->p", B[:, :, :, d], Szy) / s4,
+            ok=ok,
+            basis=None,
+        )
+
+    return system
+
+
+_KERNELS = {
+    "LinearModel": _single_level_kernel,
+    "LinearModelNIG": _single_level_kernel,
+    "SimpleMultilevel": _sm_kernel,
+    "GeneralMultilevel": _gm_kernel,
+}
+
+
+def posterior_system(stats, spec, prior):
+    """The family's kernel: a function mapping (P, k) natural variance rows to a :class:`System`.
+
+    Natural rows are laid out as ``spec.layout`` says; a GeneralMultilevel
+    row may carry its correlation even when the spec fixes it.  ``prior``
+    is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC profile
+    of the multilevel families (the single-level kernels whiten by the
+    prior and need a proper one).
+    """
+    return _KERNELS[spec.family](stats, spec, prior)
+
+
+def _logdet_quad(s):
+    """log|A| and rhs^T A^-1 rhs of every row of a system."""
+    if s.basis is not None:
+        return np.sum(np.log(s.A), axis=1), np.sum(s.rhs * s.rhs / s.A, axis=1)
+    L = np.linalg.cholesky(s.A)
+    t = np.linalg.solve(L, s.rhs[:, :, None])[:, :, 0]
+    return 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1), np.sum(t * t, axis=1)
+
+
+def batch_log_integrated(stats, spec):
+    """Build a vectorized integrated-likelihood evaluator.
+
+    The returned function maps a (P, k) array of natural-scale variance
+    parameters to (P,) log likelihood values, with k = 1 for the
+    single-level families, 2 for SimpleMultilevel, and 1 + m (+1 when the
+    correlation is sampled) for GeneralMultilevel.  Rows whose group-level
+    covariance is not positive-definite get ``-inf``.
+    """
+    system = posterior_system(stats, spec, CoefPrior.of(spec))
+    n = stats.n
+
+    def loglik(theta):
+        s = system(theta)
+        if n == 0:
+            return np.where(s.ok, 0.0, -np.inf)
+        logdet_a, quad = _logdet_quad(s)
+        val = -0.5 * (n * LOG_2PI + logdet_a + s.logdet + s.datafit - quad)
+        return np.where(s.ok, val, -np.inf)
+
+    return loglik
+
+
+def _one_row(stats, spec, row):
+    return float(batch_log_integrated(stats, spec)(np.array([row], dtype=float))[0])
 
 
 def log_integrated_lm(stats, spec, sigma2):
@@ -160,9 +354,7 @@ def log_integrated_lm(stats, spec, sigma2):
     _check_family(spec, "LinearModel")
     if not sigma2 > 0:
         raise ValueError("sigma2 must be strictly positive")
-    if stats.n == 0:
-        return 0.0
-    return _lm_core(stats, spec.prior_mean, spec.prior_cov, sigma2)
+    return _one_row(stats, spec, [sigma2])
 
 
 def log_integrated_nig_conditional(stats, spec, sigma2):
@@ -174,9 +366,7 @@ def log_integrated_nig_conditional(stats, spec, sigma2):
     _check_family(spec, "LinearModelNIG")
     if not sigma2 > 0:
         raise ValueError("sigma2 must be strictly positive")
-    if stats.n == 0:
-        return 0.0
-    return _lm_core(stats, spec.prior_mean, spec.gamma * sigma2 * spec.prior_cov, sigma2)
+    return _one_row(stats, spec, [sigma2])
 
 
 def log_integrated_simple_ml(stats, spec, sigma2_y, sigma2_eta):
@@ -190,20 +380,7 @@ def log_integrated_simple_ml(stats, spec, sigma2_y, sigma2_eta):
         raise ValueError("sigma2_y must be strictly positive")
     if sigma2_eta < 0:
         raise ValueError("sigma2_eta must be nonnegative")
-    if stats.n == 0:
-        return 0.0
-    prec, prec_mu, logdet_prior, quad_prior = _prior_terms(spec.prior_mean, spec.prior_cov)
-    nj = stats.n_per_group
-    w = sigma2_eta / (sigma2_y + nj * sigma2_eta)          # shrinkage weight per group
-    A = prec + (stats.gram_xx - np.einsum("j,ja,jb->ab", w, stats.group_sum_x, stats.group_sum_x)) / sigma2_y
-    rhs = prec_mu + (stats.sum_xy - (w * stats.group_sum_y) @ stats.group_sum_x) / sigma2_y
-    logdet_post, quad_post, _ = _logdet_and_quad(A, rhs)
-    sum_log_ratio = float(np.sum(np.log1p(nj * sigma2_eta / sigma2_y)))
-    datafit = (stats.sum_yy - float(w @ (stats.group_sum_y ** 2))) / sigma2_y
-    return -0.5 * (
-        logdet_post + logdet_prior + stats.n * (LOG_2PI + np.log(sigma2_y))
-        + sum_log_ratio + quad_prior + datafit - quad_post
-    )
+    return _one_row(stats, spec, [sigma2_y, sigma2_eta])
 
 
 def log_integrated_general_ml(stats, spec, theta):
@@ -213,45 +390,51 @@ def log_integrated_general_ml(stats, spec, theta):
     is not positive-definite (a rejected proposal, not an error).
     """
     _check_family(spec, "GeneralMultilevel")
-    sigma2_y = theta.sigma2_y
     if theta.nu is None:
         raise ValueError("theta.nu is required for GeneralMultilevel")
-    variances, rho = theta.nu
     try:
-        sigma_eta = assemble_sigma_eta(spec.eta_structure, variances, rho)
-    except NotPositiveDefiniteError:
-        return -np.inf
-    if stats.n == 0:
-        return 0.0
-    prec, prec_mu, logdet_prior, quad_prior = _prior_terms(spec.prior_mean, spec.prior_cov)
-    eta_prec, _, logdet_eta, _ = _prior_terms(np.zeros(stats.m), sigma_eta)
-
-    corr = np.zeros((stats.d, stats.d))
-    rhs_corr = np.zeros(stats.d)
-    datafit_corr = 0.0
-    sum_logdet_groups = 0.0
-    for j in range(stats.J):
-        Mj = eta_prec + stats.group_gram_zz[j] / sigma2_y
-        cj, lower = cho_factor(Mj, lower=True)
-        sum_logdet_groups += 2.0 * float(np.sum(np.log(np.diag(cj))))
-        shat = cho_solve((cj, lower), np.eye(stats.m))
-        czs = stats.group_cross_xz[j] @ shat
-        corr += czs @ stats.group_cross_xz[j].T
-        rhs_corr += czs @ stats.group_sum_zy[j]
-        datafit_corr += float(stats.group_sum_zy[j] @ shat @ stats.group_sum_zy[j])
-
-    s4 = sigma2_y * sigma2_y
-    A = prec + stats.gram_xx / sigma2_y - corr / s4
-    rhs = prec_mu + stats.sum_xy / sigma2_y - rhs_corr / s4
-    try:
-        logdet_post, quad_post, _ = _logdet_and_quad(A, rhs)
+        return _one_row(stats, spec, theta_row(theta)[0])
     except np.linalg.LinAlgError:
         return -np.inf
-    return -0.5 * (
-        logdet_post + logdet_prior + stats.n * (LOG_2PI + np.log(sigma2_y))
-        + stats.J * logdet_eta + sum_logdet_groups
-        + quad_prior + stats.sum_yy / sigma2_y - datafit_corr / s4 - quad_post
+
+
+# ---------------------------------------------------------------------------
+# Full likelihood over (coefficients, group effects).
+# ---------------------------------------------------------------------------
+
+def group_design(stats, z_effects):
+    """Per-group sums (Z^T Z, Z^T y, X^T Z) of the group-effect design z.
+
+    Shapes (J, k, k), (J, k) and (J, d, k).  ``z_effects`` selects the
+    data's z columns, otherwise the design is one group intercept (z = 1);
+    None means no group effects.
+    """
+    if z_effects is None:
+        return None
+    if z_effects:
+        return stats.group_gram_zz, stats.group_sum_zy, stats.group_cross_xz
+    return (
+        stats.n_per_group.astype(float)[:, None, None],
+        stats.group_sum_y[:, None],
+        stats.group_sum_x[:, :, None],
     )
+
+
+def _log_full(stats, z_effects, beta, eta, sigma2_y):
+    rss = (
+        stats.sum_yy
+        - 2.0 * beta @ stats.sum_xy
+        + np.einsum("pa,ab,pb->p", beta, stats.gram_xx, beta, optimize=True)
+    )
+    if z_effects is not None:
+        Gz, Szy, Cxz = group_design(stats, z_effects)
+        eta = eta.reshape(beta.shape[0], stats.J, -1)
+        rss = rss + (
+            np.einsum("pja,jab,pjb->p", eta, Gz, eta, optimize=True)
+            - 2.0 * np.einsum("pja,ja->p", eta, Szy, optimize=True)
+            + 2.0 * np.einsum("pa,jab,pjb->p", beta, Cxz, eta, optimize=True)
+        )
+    return -0.5 * (stats.n * (LOG_2PI + np.log(sigma2_y)) + rss / sigma2_y)
 
 
 def log_full_likelihood(stats, family, beta, sigma2_y, eta=None):
@@ -265,254 +448,19 @@ def log_full_likelihood(stats, family, beta, sigma2_y, eta=None):
         raise ValueError(f"beta must have length {stats.d}")
     if not sigma2_y > 0:
         raise ValueError("sigma2_y must be strictly positive")
-    rss = (
-        stats.sum_yy
-        - 2.0 * float(beta @ stats.sum_xy)
-        + float(beta @ stats.gram_xx @ beta)
-    )
-    if family in ("LinearModel", "LinearModelNIG"):
+    if family not in Z_EFFECTS:
+        raise ValueError(f"unknown family {family!r}")
+    z_effects = Z_EFFECTS[family]
+    if z_effects is None:
         if eta is not None:
             raise ValueError("single-level families take no group effects")
-    elif family == "SimpleMultilevel":
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (stats.J,):
-            raise ValueError(f"eta must have shape ({stats.J},)")
-        rss += float(
-            np.sum(eta ** 2 * stats.n_per_group)
-            - 2.0 * eta @ stats.group_sum_y
-            + 2.0 * eta @ (stats.group_sum_x @ beta)
-        )
-    elif family == "GeneralMultilevel":
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (stats.J, stats.m):
-            raise ValueError(f"eta must have shape ({stats.J}, {stats.m})")
-        rss += float(
-            np.einsum("ja,jab,jb->", eta, stats.group_gram_zz, eta)
-            - 2.0 * np.einsum("ja,ja->", eta, stats.group_sum_zy)
-            + 2.0 * np.einsum("a,jab,jb->", beta, stats.group_cross_xz, eta)
-        )
     else:
-        raise ValueError(f"unknown family {family!r}")
-    return -0.5 * (stats.n * (LOG_2PI + np.log(sigma2_y)) + rss / sigma2_y)
-
-
-def conditional_beta_posterior(stats, spec, theta):
-    """Conditional Gaussian posterior of the coefficients at fixed variances.
-
-    Returns (mean, cov).  Used both by the posterior-recovery mixture and
-    by per-point diagnostics.
-    """
-    if spec.family == "LinearModel":
-        mu, cov, sigma2 = spec.prior_mean, spec.prior_cov, theta.sigma2_y
-        prec, prec_mu, _, _ = _prior_terms(mu, cov)
-        A = prec + stats.gram_xx / sigma2
-        rhs = prec_mu + stats.sum_xy / sigma2
-    elif spec.family == "LinearModelNIG":
-        sigma2 = theta.sigma2_y
-        prec, prec_mu, _, _ = _prior_terms(
-            spec.prior_mean, spec.gamma * sigma2 * spec.prior_cov
-        )
-        A = prec + stats.gram_xx / sigma2
-        rhs = prec_mu + stats.sum_xy / sigma2
-    elif spec.family == "SimpleMultilevel":
-        sigma2_y, sigma2_eta = theta.sigma2_y, theta.sigma2_eta
-        prec, prec_mu, _, _ = _prior_terms(spec.prior_mean, spec.prior_cov)
-        w = sigma2_eta / (sigma2_y + stats.n_per_group * sigma2_eta)
-        A = prec + (
-            stats.gram_xx - np.einsum("j,ja,jb->ab", w, stats.group_sum_x, stats.group_sum_x)
-        ) / sigma2_y
-        rhs = prec_mu + (stats.sum_xy - (w * stats.group_sum_y) @ stats.group_sum_x) / sigma2_y
-    elif spec.family == "GeneralMultilevel":
-        sigma2_y = theta.sigma2_y
-        variances, rho = theta.nu
-        sigma_eta = assemble_sigma_eta(spec.eta_structure, variances, rho)
-        prec, prec_mu, _, _ = _prior_terms(spec.prior_mean, spec.prior_cov)
-        eta_prec, _, _, _ = _prior_terms(np.zeros(stats.m), sigma_eta)
-        corr = np.zeros((stats.d, stats.d))
-        rhs_corr = np.zeros(stats.d)
-        for j in range(stats.J):
-            Mj = eta_prec + stats.group_gram_zz[j] / sigma2_y
-            cj, lower = cho_factor(Mj, lower=True)
-            shat = cho_solve((cj, lower), np.eye(stats.m))
-            czs = stats.group_cross_xz[j] @ shat
-            corr += czs @ stats.group_cross_xz[j].T
-            rhs_corr += czs @ stats.group_sum_zy[j]
-        s4 = sigma2_y * sigma2_y
-        A = prec + stats.gram_xx / sigma2_y - corr / s4
-        rhs = prec_mu + stats.sum_xy / sigma2_y - rhs_corr / s4
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
-    c, lower = cho_factor(A, lower=True)
-    mean = cho_solve((c, lower), rhs)
-    cov = cho_solve((c, lower), np.eye(stats.d))
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluators (particle clouds); agree with the scalar functions.
-# ---------------------------------------------------------------------------
-
-def _batch_chol_logdet_quad(A, rhs):
-    """Batched log|A| and rhs^T A^-1 rhs for a stack of SPD matrices."""
-    L = np.linalg.cholesky(A)
-    logdet = 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1)
-    t = np.linalg.solve(L, rhs[:, :, None])[:, :, 0]
-    return logdet, np.sum(t * t, axis=1)
-
-
-def batch_log_integrated(stats, spec):
-    """Build a vectorized integrated-likelihood evaluator.
-
-    The returned function maps a (P, k) array of natural-scale variance
-    parameters to (P,) log likelihood values, with k = 1 for the
-    single-level families, 2 for SimpleMultilevel, and 1 + m (+1 when the
-    correlation is sampled) for GeneralMultilevel.
-    """
-    family = spec.family
-    n = stats.n
-
-    if family in ("LinearModel", "LinearModelNIG"):
-        if family == "LinearModel":
-            # Generalized-eigenvalue fast path: one symmetric eigendecomposition,
-            # then every sigma2 is O(d).
-            Lp = cholesky(spec.prior_cov, lower=True)
-            lam, Q = np.linalg.eigh(Lp.T @ stats.gram_xx @ Lp)
-            lam = np.clip(lam, 0.0, None)
-            prec, prec_mu, _, quad_prior = _prior_terms(spec.prior_mean, spec.prior_cov)
-            a = Q.T @ solve_triangular(Lp, spec.prior_mean, lower=True)
-            b = Q.T @ (Lp.T @ stats.sum_xy)
-
-            def loglik(theta):
-                s2 = theta[:, 0][:, None]
-                if n == 0:
-                    return np.zeros(s2.shape[0])
-                logdet = np.sum(np.log1p(lam[None, :] / s2), axis=1)
-                quad = np.sum((a[None, :] + b[None, :] / s2) ** 2 / (1.0 + lam[None, :] / s2), axis=1)
-                s2f = s2[:, 0]
-                return -0.5 * (logdet + n * (LOG_2PI + np.log(s2f)) + quad_prior
-                               + stats.sum_yy / s2f - quad)
-
-        else:
-            base_cov = spec.gamma * spec.prior_cov
-            prec_b, prec_mu_b, logdet_b, quad_b = _prior_terms(spec.prior_mean, base_cov)
-            M = prec_b + stats.gram_xx
-            v = prec_mu_b + stats.sum_xy
-            cM, lowM = cho_factor(M, lower=True)
-            logdet_M = 2.0 * float(np.sum(np.log(np.diag(cM))))
-            quad_M = float(v @ cho_solve((cM, lowM), v))
-            d = stats.d
-
-            def loglik(theta):
-                s2 = theta[:, 0]
-                if n == 0:
-                    return np.zeros(s2.shape)
-                # log|post precision| + log|prior cov| with sigma2 cancelled:
-                # both determinants pick up d*log(sigma2) terms of opposite sign.
-                const = logdet_M + logdet_b
-                return -0.5 * (
-                    const + n * (LOG_2PI + np.log(s2))
-                    + (quad_b + stats.sum_yy - quad_M) / s2
-                )
-
-        return loglik
-
-    prec, prec_mu, logdet_prior, quad_prior = _prior_terms(spec.prior_mean, spec.prior_cov)
-
-    if family == "SimpleMultilevel":
-        nj = stats.n_per_group.astype(float)
-        Yj = stats.group_sum_y
-        Xj = stats.group_sum_x
-
-        def loglik(theta):
-            s2y = theta[:, 0]
-            s2e = theta[:, 1]
-            if n == 0:
-                return np.zeros(s2y.shape)
-            w = s2e[:, None] / (s2y[:, None] + nj[None, :] * s2e[:, None])
-            A = prec[None] + (
-                stats.gram_xx[None] - np.einsum("pj,ja,jb->pab", w, Xj, Xj, optimize=True)
-            ) / s2y[:, None, None]
-            rhs = prec_mu[None] + (
-                stats.sum_xy[None] - np.einsum("pj,j,ja->pa", w, Yj, Xj, optimize=True)
-            ) / s2y[:, None]
-            logdet_post, quad_post = _batch_chol_logdet_quad(A, rhs)
-            sum_log_ratio = np.sum(np.log1p(nj[None, :] * s2e[:, None] / s2y[:, None]), axis=1)
-            datafit = (stats.sum_yy - w @ (Yj ** 2)) / s2y
-            return -0.5 * (
-                logdet_post + logdet_prior + n * (LOG_2PI + np.log(s2y))
-                + sum_log_ratio + quad_prior + datafit - quad_post
-            )
-
-        return loglik
-
-    if family == "GeneralMultilevel":
-        struct = spec.eta_structure
-        m = struct.m
-        fixed_rho = spec.corr_prior.value if (spec.corr_prior and spec.corr_prior.is_fixed) else None
-        rho_sampled = spec.corr_prior is not None and not spec.corr_prior.is_fixed
-        Gz = stats.group_gram_zz
-        Cxz = stats.group_cross_xz
-        Szy = stats.group_sum_zy
-        pat = struct.pattern
-
-        def loglik(theta):
-            s2y = theta[:, 0]
-            v = theta[:, 1:1 + m]
-            if rho_sampled:
-                rho = theta[:, 1 + m]
-            elif fixed_rho is not None:
-                rho = np.full(s2y.shape, fixed_rho)
-            else:
-                rho = np.zeros(s2y.shape)
-            P = s2y.shape[0]
-            if n == 0:
-                return np.zeros(P)
-            sig = np.sqrt(v)
-            se = np.zeros((P, m, m))
-            ii = np.arange(m)
-            se[:, ii, ii] = v
-            for r, c in pat:
-                off = rho * sig[:, r] * sig[:, c]
-                se[:, r, c] = off
-                se[:, c, r] = off
-            # Positive-definiteness gate; failed proposals get -inf density.
-            eigmin = np.linalg.eigvalsh(se)[:, 0]
-            ok = eigmin > 0
-            se_safe = np.where(ok[:, None, None], se, np.eye(m)[None])
-            Le = np.linalg.cholesky(se_safe)
-            logdet_eta = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
-            eta_prec = np.linalg.inv(se_safe)
-
-            Mj = eta_prec[:, None] + Gz[None] / s2y[:, None, None, None]
-            Lj = np.linalg.cholesky(Mj)
-            sum_logdet_groups = 2.0 * np.sum(np.log(np.einsum("pjii->pji", Lj)), axis=(1, 2))
-
-            # Group corrections as one tall matmul: with B_j = M_j^{-1} [C_j^T s_j]
-            # the sums over j of C_j B_j collapse to a (d+1)-column product.
-            cxz_t = Cxz.transpose(0, 2, 1)               # (J, m, d)
-            rhs_j = np.concatenate([cxz_t, Szy[:, :, None]], axis=2)
-            B = np.linalg.inv(Mj) @ rhs_j[None]          # (P, J, m, d+1)
-            cbig = cxz_t.reshape(stats.J * m, stats.d)   # (Jm, d)
-            prod = cbig.T[None] @ B.reshape(P, stats.J * m, stats.d + 1)
-            corr = prod[:, :, :stats.d]                  # sum_j C_j Mhat_j^{-1} C_j^T
-            rhs_corr = prod[:, :, stats.d]
-            datafit_corr = np.einsum("pjm,jm->p", B[:, :, :, stats.d], Szy)
-
-            s4 = (s2y * s2y)[:, None, None]
-            A = prec[None] + stats.gram_xx[None] / s2y[:, None, None] - corr / s4
-            rhs = prec_mu[None] + stats.sum_xy[None] / s2y[:, None] - rhs_corr / s4[:, :, 0]
-            logdet_post, quad_post = _batch_chol_logdet_quad(A, rhs)
-            val = -0.5 * (
-                logdet_post + logdet_prior + n * (LOG_2PI + np.log(s2y))
-                + stats.J * logdet_eta + sum_logdet_groups
-                + quad_prior + stats.sum_yy / s2y - datafit_corr / (s2y * s2y) - quad_post
-            )
-            return np.where(ok, val, -np.inf)
-
-        return loglik
-
-    raise ValueError(f"unknown family {family!r}")
+        eta = np.asarray(eta, dtype=float)
+        shape = (stats.J, stats.m) if z_effects else (stats.J,)
+        if eta.shape != shape:
+            raise ValueError(f"eta must have shape {shape}")
+        eta = eta[None]
+    return float(_log_full(stats, z_effects, beta[None], eta, np.array([sigma2_y]))[0])
 
 
 def batch_log_full(stats, spec):
@@ -521,27 +469,43 @@ def batch_log_full(stats, spec):
     The returned function takes ``(beta, eta, sigma2_y)`` with shapes
     (P, d), (P, J) or (P, J, m) or None, and (P,).
     """
-    family = spec.family
-    n = stats.n
+    z_effects = spec.layout.z_effects
+    return lambda beta, eta, sigma2_y: _log_full(stats, z_effects, beta, eta, sigma2_y)
 
-    def loglik(beta, eta, sigma2_y):
-        rss = (
-            stats.sum_yy
-            - 2.0 * beta @ stats.sum_xy
-            + np.einsum("pa,ab,pb->p", beta, stats.gram_xx, beta, optimize=True)
-        )
-        if family == "SimpleMultilevel":
-            rss = rss + (
-                (eta ** 2) @ stats.n_per_group.astype(float)
-                - 2.0 * eta @ stats.group_sum_y
-                + 2.0 * np.einsum("pj,ja,pa->p", eta, stats.group_sum_x, beta, optimize=True)
-            )
-        elif family == "GeneralMultilevel":
-            rss = rss + (
-                np.einsum("pja,jab,pjb->p", eta, stats.group_gram_zz, eta, optimize=True)
-                - 2.0 * np.einsum("pja,ja->p", eta, stats.group_sum_zy, optimize=True)
-                + 2.0 * np.einsum("pa,jab,pjb->p", beta, stats.group_cross_xz, eta, optimize=True)
-            )
-        return -0.5 * (n * (LOG_2PI + np.log(sigma2_y)) + rss / sigma2_y)
 
-    return loglik
+# ---------------------------------------------------------------------------
+# Conditional coefficient posteriors.
+# ---------------------------------------------------------------------------
+
+def batch_conditional_beta(stats, spec):
+    """Vectorized :func:`conditional_beta_posterior`.
+
+    The returned function maps (P, k) natural variance rows to the means
+    (P, d) and covariances (P, d, d) of the conditional coefficient
+    posteriors.  Callers bound P: the covariances are one d x d matrix
+    per row.
+    """
+    system = posterior_system(stats, spec, CoefPrior.of(spec))
+
+    def conditional(theta):
+        s = system(theta)
+        if s.basis is not None:
+            return (s.rhs / s.A) @ s.basis.T, (s.basis[None] / s.A[:, None, :]) @ s.basis.T
+        cov = np.linalg.inv(s.A)
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        return np.einsum("pab,pb->pa", cov, s.rhs), cov
+
+    return conditional
+
+
+def conditional_beta_posterior(stats, spec, theta):
+    """Conditional Gaussian posterior of the coefficients at fixed variances.
+
+    Returns (mean, cov) at one ThetaPoint.  Raises
+    NotPositiveDefiniteError when its group-level covariance is not
+    positive-definite.
+    """
+    if theta.nu is not None:
+        assemble_sigma_eta(spec.eta_structure, *theta.nu)
+    means, covs = batch_conditional_beta(stats, spec)(theta_row(theta))
+    return means[0], covs[0]

@@ -13,11 +13,18 @@ Four families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
 
-FAMILIES = ("LinearModel", "LinearModelNIG", "SimpleMultilevel", "GeneralMultilevel")
+# Group effects of each family: none, one intercept per group (False) or
+# one coefficient per z column (True).
+Z_EFFECTS = {
+    "LinearModel": None, "LinearModelNIG": None,
+    "SimpleMultilevel": False, "GeneralMultilevel": True,
+}
+FAMILIES = tuple(Z_EFFECTS)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -91,27 +98,35 @@ class EtaCovStructure:
         object.__setattr__(self, "pattern", tuple(pat))
 
 
+def assemble_sigma_eta_batch(struct, variances, rho):
+    """Group-level covariances of P rows, with the one positive-definiteness gate.
+
+    ``variances`` (P, m) fill the diagonal and ``rho`` (P,) the pattern
+    positions as rho * sigma_row * sigma_col.  Returns the (P, m, m)
+    matrices and a (P,) mask of those whose smallest eigenvalue is > 0;
+    a matrix that fails the gate is replaced by the identity, so callers
+    can factor the whole stack and mask the rows.
+    """
+    v = np.asarray(variances, dtype=float)
+    P, m = v.shape
+    sig = np.sqrt(v)
+    se = np.zeros((P, m, m))
+    ii = np.arange(m)
+    se[:, ii, ii] = v
+    for r, c in struct.pattern:
+        off = rho * sig[:, r] * sig[:, c]
+        se[:, r, c] = off
+        se[:, c, r] = off
+    ok = np.linalg.eigvalsh(se)[:, 0] > 0
+    return np.where(ok[:, None, None], se, np.eye(m)[None]), ok
+
+
 def assemble_sigma_eta(struct, variances, rho):
-    """Assemble the group-level covariance from variances and a correlation.
+    """Assemble the (m, m) group-level covariance from variances and a correlation.
 
-    Parameters
-    ----------
-    struct : EtaCovStructure
-    variances : array_like, shape (m,)
-        Strictly positive diagonal entries.
-    rho : float
-        Correlation in (-1, 1) placed at the pattern positions as
-        rho * sigma_row * sigma_col.
-
-    Returns
-    -------
-    ndarray, shape (m, m)
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the assembled matrix has no Cholesky factorization.  Callers in
-        the sampler treat this as a zero-density proposal.
+    One row of :func:`assemble_sigma_eta_batch`, with its inputs checked.
+    Raises NotPositiveDefiniteError when the matrix fails the gate;
+    callers in the sampler treat that as a zero-density proposal.
     """
     v = np.asarray(variances, dtype=float)
     if v.shape != (struct.m,):
@@ -120,17 +135,48 @@ def assemble_sigma_eta(struct, variances, rho):
         raise ValueError("variances must be strictly positive")
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
-    sig = np.sqrt(v)
-    mat = np.diag(v)
-    for r, c in struct.pattern:
-        mat[r, c] = mat[c, r] = rho * sig[r] * sig[c]
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
+    se, ok = assemble_sigma_eta_batch(struct, v[None], np.array([rho], dtype=float))
+    if not ok[0]:
         raise NotPositiveDefiniteError(
             f"assembled {struct.m}x{struct.m} covariance is not positive-definite"
-        ) from None
-    return mat
+        )
+    return se[0]
+
+
+@dataclass(frozen=True)
+class ParamLayout:
+    """What the samplers and evaluators need to know about a spec's family.
+
+    A natural variance row holds sigma2_y, then one variance per
+    group-effect component, then the correlation when it is sampled.  The
+    group effects are one intercept per group (SimpleMultilevel) or one
+    coefficient per z column (GeneralMultilevel).
+    """
+
+    igs: tuple                               # inverse-gamma priors, in row order
+    rho_sampled: bool
+    fixed_rho: float                         # correlation used when it is not sampled
+    eta_structure: EtaCovStructure | None    # 1x1 for a group intercept; None without groups
+    z_effects: bool | None                   # see Z_EFFECTS
+
+    @property
+    def group_width(self):
+        """Group effects per group: 0 (single-level), 1 or m."""
+        return self.eta_structure.m if self.eta_structure is not None else 0
+
+    @property
+    def n_params(self):
+        """Columns of a natural variance row."""
+        return len(self.igs) + int(self.rho_sampled)
+
+    def sigma_eta(self, nat):
+        """(P, m, m) group-level covariances of natural rows and their PD mask.
+
+        A row without a correlation column uses ``fixed_rho``.
+        """
+        m = self.group_width
+        rho = nat[:, 1 + m] if nat.shape[1] > 1 + m else np.full(nat.shape[0], self.fixed_rho)
+        return assemble_sigma_eta_batch(self.eta_structure, nat[:, 1:1 + m], rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +255,22 @@ class ModelSpec:
 
     @property
     def m(self):
-        if self.family == "GeneralMultilevel":
-            return self.eta_structure.m
-        return 0
+        return self.eta_structure.m if self.eta_structure is not None else 0
+
+    @cached_property
+    def layout(self):
+        corr = self.corr_prior
+        return ParamLayout(
+            igs=(self.ig_y,) + (self.ig_eta or ()),
+            rho_sampled=corr is not None and not corr.is_fixed,
+            fixed_rho=corr.value if corr is not None and corr.is_fixed else 0.0,
+            eta_structure=self.eta_structure or (EtaCovStructure(m=1) if self.ig_eta else None),
+            z_effects=Z_EFFECTS[self.family],
+        )
 
     def n_variance_params(self):
         """Count of free variance-type parameters (used for AIC's k)."""
-        if self.family in ("LinearModel", "LinearModelNIG"):
-            return 1
-        if self.family == "SimpleMultilevel":
-            return 2
-        count = 1 + len(self.ig_eta)
-        if self.corr_prior is not None and not self.corr_prior.is_fixed:
-            count += 1
-        return count
+        return self.layout.n_params
 
 
 def validate(spec, data):

@@ -18,10 +18,14 @@ from scipy.optimize import minimize
 
 from mlevidence.likelihood_core import (
     LOG_2PI,
-    conditional_beta_posterior,
+    CoefPrior,
+    batch_conditional_beta,
+    group_design,
+    posterior_system,
     precompute,
+    theta_row,
 )
-from mlevidence.model_spec import assemble_sigma_eta
+from mlevidence.model_spec import NotPositiveDefiniteError
 from mlevidence.smc_engine import variance_block_to_natural
 
 
@@ -48,35 +52,27 @@ class PosteriorGaussian:
         self.cov.setflags(write=False)
 
 
-def _theta_points(spec, particles):
-    """ThetaPoint per particle row of an integrated-mode cloud."""
-    from mlevidence.likelihood_core import ThetaPoint
+def _conditional_blocks(cloud, stats, spec):
+    """(weights, means, covs) of the conditional coefficient posteriors of a cloud.
 
-    nat = variance_block_to_natural(spec, particles)
-    out = []
-    for row in nat:
-        if spec.family in ("LinearModel", "LinearModelNIG"):
-            out.append(ThetaPoint(sigma2_y=row[0]))
-        elif spec.family == "SimpleMultilevel":
-            out.append(ThetaPoint(sigma2_y=row[0], sigma2_eta=row[1]))
-        else:
-            m = spec.eta_structure.m
-            rho = (
-                row[1 + m]
-                if row.shape[0] > 1 + m
-                else (spec.corr_prior.value if spec.corr_prior and spec.corr_prior.is_fixed else 0.0)
-            )
-            out.append(ThetaPoint(sigma2_y=row[0], nu=(row[1:1 + m], rho)))
-    return out
+    Rows go through the batched conditional in blocks of about 2^18
+    covariance entries, so a large cloud never holds all its d x d
+    matrices at once.
+    """
+    w = cloud.normalized_weights()
+    nat = variance_block_to_natural(spec, cloud.particles)
+    conditional = batch_conditional_beta(stats, spec)
+    step = max(1, 2 ** 18 // (stats.d * stats.d))
+    for i in range(0, w.shape[0], step):
+        yield (w[i:i + step], *conditional(nat[i:i + step]))
 
 
 def beta_posterior_trace(cloud, stats, spec):
     """Weighted conditional posteriors (weight, mean, cov) along the variance trace."""
-    weights = cloud.normalized_weights()
-    thetas = _theta_points(spec, cloud.particles)
     return [
-        (float(w), *conditional_beta_posterior(stats, spec, th))
-        for w, th in zip(weights, thetas)
+        (float(w), mean, cov)
+        for wb, means, covs in _conditional_blocks(cloud, stats, spec)
+        for w, mean, cov in zip(wb, means, covs)
     ]
 
 
@@ -85,14 +81,16 @@ def recover_beta_posterior(cloud, stats, spec, mode):
     if not np.isclose(cloud.beta_temper, 1.0):
         raise ValueError("cloud must be at tempering exponent 1")
     if mode == "integrated":
-        trace = beta_posterior_trace(cloud, stats, spec)
-        mean = np.zeros(stats.d)
-        for w, mu, _ in trace:
-            mean += w * mu
+        w = cloud.normalized_weights()
+        means = []
         cov = np.zeros((stats.d, stats.d))
-        for w, mu, cv in trace:
-            dm = mu - mean
-            cov += w * (cv + np.outer(dm, dm))
+        for wb, mb, cb in _conditional_blocks(cloud, stats, spec):
+            means.append(mb)
+            cov += np.einsum("p,pab->ab", wb, cb)
+        means = np.concatenate(means)
+        mean = w @ means
+        dm = means - mean[None, :]
+        cov += (dm * w[:, None]).T @ dm
         cov = 0.5 * (cov + cov.T)
         return PosteriorGaussian(mean=mean, cov=cov, source="mixture-over-trace")
     if mode != "full":
@@ -157,10 +155,10 @@ def _profile_loglik_builder(stats, spec):
     generalized least squares at each variance point.  Works with
     rank-deficient designs through least-squares solves.
     """
-    family = spec.family
     n = stats.n
+    layout = spec.layout
 
-    if family in ("LinearModel", "LinearModelNIG"):
+    if not layout.group_width:
         lam, Q = np.linalg.eigh(stats.gram_xx)
         proj = Q.T @ stats.sum_xy
         tol = max(lam.max(), 1.0) * 1e-10
@@ -176,66 +174,23 @@ def _profile_loglik_builder(stats, spec):
 
         return profile, 1
 
-    if family == "SimpleMultilevel":
-        nj = stats.n_per_group.astype(float)
-
-        def profile(u):
-            if np.max(np.abs(u)) > 46.0:
-                return -np.inf
-            s2y, s2e = np.exp(u[0]), np.exp(u[1])
-            w = s2e / (s2y + nj * s2e)
-            A = (stats.gram_xx - np.einsum("j,ja,jb->ab", w, stats.group_sum_x, stats.group_sum_x)) / s2y
-            c = (stats.sum_xy - (w * stats.group_sum_y) @ stats.group_sum_x) / s2y
-            fit = float(c @ np.linalg.lstsq(A, c, rcond=None)[0])
-            quad = (stats.sum_yy - float(w @ stats.group_sum_y ** 2)) / s2y
-            logdet_v = n * u[0] + float(np.sum(np.log1p(nj * s2e / s2y)))
-            return -0.5 * (n * LOG_2PI + logdet_v + quad - fit)
-
-        return profile, 2
-
-    struct = spec.eta_structure
-    m = struct.m
-    rho_free = spec.corr_prior is not None and not spec.corr_prior.is_fixed
-    fixed_rho = spec.corr_prior.value if (spec.corr_prior and spec.corr_prior.is_fixed) else 0.0
+    system = posterior_system(stats, spec, CoefPrior.flat(stats.d))
+    n_var = len(layout.igs)
 
     def profile(u):
-        if np.max(np.abs(u[:1 + m])) > 46.0:  # keep exp() finite and well-scaled
-            return -np.inf
-        s2y = np.exp(u[0])
-        v = np.exp(u[1:1 + m])
-        rho = np.tanh(u[1 + m]) if rho_free else fixed_rho
-        try:
-            sigma_eta = assemble_sigma_eta(struct, v, rho)
-        except ValueError:
+        if np.max(np.abs(u[:n_var])) > 46.0:  # keep exp() finite and well-scaled
             return -np.inf
         try:
-            ce, lower = cho_factor(sigma_eta, lower=True)
-            logdet_eta = 2.0 * float(np.sum(np.log(np.diag(ce))))
-            eta_prec = cho_solve((ce, lower), np.eye(m))
-            corr = np.zeros((stats.d, stats.d))
-            rhs_corr = np.zeros(stats.d)
-            datafit_corr = 0.0
-            sum_logdet = 0.0
-            for j in range(stats.J):
-                Mj = eta_prec + stats.group_gram_zz[j] / s2y
-                cj, lj = cho_factor(Mj, lower=True)
-                sum_logdet += 2.0 * float(np.sum(np.log(np.diag(cj))))
-                shat = cho_solve((cj, lj), np.eye(m))
-                czs = stats.group_cross_xz[j] @ shat
-                corr += czs @ stats.group_cross_xz[j].T
-                rhs_corr += czs @ stats.group_sum_zy[j]
-                datafit_corr += float(stats.group_sum_zy[j] @ shat @ stats.group_sum_zy[j])
-        except (np.linalg.LinAlgError, ValueError):
+            s = system(variance_block_to_natural(spec, u))
+        except np.linalg.LinAlgError:
             return -np.inf
-        s4 = s2y * s2y
-        A = stats.gram_xx / s2y - corr / s4
-        c = stats.sum_xy / s2y - rhs_corr / s4
-        fit = float(c @ np.linalg.lstsq(A, c, rcond=None)[0])
-        quad = stats.sum_yy / s2y - datafit_corr / s4
-        logdet_v = n * u[0] + stats.J * logdet_eta + sum_logdet
-        return -0.5 * (n * LOG_2PI + logdet_v + quad - fit)
+        if not s.ok[0]:
+            return -np.inf
+        c = s.rhs[0]
+        fit = float(c @ np.linalg.lstsq(s.A[0], c, rcond=None)[0])
+        return -0.5 * (n * LOG_2PI + s.logdet[0] + s.datafit[0] - fit)
 
-    return profile, 1 + m + (1 if rho_free else 0)
+    return profile, layout.n_params
 
 
 _START_FACTORS = (1.0, 0.3, 3.0, 0.1, 10.0)
@@ -250,15 +205,13 @@ def aic(data, spec, k=None):
     Nelder-Mead simplex on log-variance coordinates.
     """
     stats = precompute(data)
+    layout = spec.layout
     if k is None:
-        if spec.family in ("LinearModel", "LinearModelNIG"):
-            k = stats.d
-        else:
-            k = stats.d + spec.n_variance_params()
+        k = stats.d + (layout.n_params if layout.group_width else 0)
     profile, nvar = _profile_loglik_builder(stats, spec)
 
     base = np.zeros(nvar)
-    igs = [spec.ig_y] + (list(spec.ig_eta) if spec.ig_eta else [])
+    igs = layout.igs
     for i, ig in enumerate(igs[: nvar]):
         base[i] = np.log(ig.mean if np.isfinite(ig.mean) else 1.0)
 
@@ -316,24 +269,21 @@ def bayes_factor(est_m, est_n, bands=DEFAULT_BF_BANDS):
 
 
 def conditional_eta_means(stats, spec, theta, beta):
-    """Conditional means of the group effects given variances and coefficients."""
-    if spec.family == "SimpleMultilevel":
-        s2y, s2e = theta.sigma2_y, theta.sigma2_eta
-        shrink = s2e / (s2y + stats.n_per_group * s2e)
-        resid = stats.group_sum_y - stats.group_sum_x @ beta
-        return (shrink * resid)[:, None]
-    if spec.family == "GeneralMultilevel":
-        sigma_eta = assemble_sigma_eta(spec.eta_structure, *theta.nu)
-        ce, lower = cho_factor(sigma_eta, lower=True)
-        eta_prec = cho_solve((ce, lower), np.eye(stats.m))
-        out = np.zeros((stats.J, stats.m))
-        for j in range(stats.J):
-            Mj = eta_prec + stats.group_gram_zz[j] / theta.sigma2_y
-            rhs = (stats.group_sum_zy[j] - stats.group_cross_xz[j].T @ beta) / theta.sigma2_y
-            cj, lj = cho_factor(Mj, lower=True)
-            out[j] = cho_solve((cj, lj), rhs)
-        return out
-    raise ValueError("group effects exist only for multilevel families")
+    """Conditional means of the group effects given variances and coefficients.
+
+    Returns a (J, group width) array: one column per group-effect component.
+    """
+    layout = spec.layout
+    if not layout.group_width:
+        raise ValueError("group effects exist only for multilevel families")
+    se, ok = layout.sigma_eta(theta_row(theta))
+    if not ok[0]:
+        raise NotPositiveDefiniteError("group-level covariance is not positive-definite")
+    Gz, Szy, Cxz = group_design(stats, layout.z_effects)
+    s2y = theta.sigma2_y
+    M = np.linalg.inv(se[0])[None] + Gz / s2y
+    rhs = (Szy - np.einsum("jam,a->jm", Cxz, beta)) / s2y
+    return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
 
 
 def export_fits(post, data, spec, model_id, meta, eta_means=None, eta_covs=None):

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from mlevidence.data_model import Dataset
-from mlevidence.model_spec import CorrelationPrior, EtaCovStructure, IGPrior, ModelSpec
+from mlevidence.model_spec import (
+    CorrelationPrior,
+    EtaCovStructure,
+    IGPrior,
+    ModelSpec,
+    assemble_sigma_eta_batch,
+)
 
 DATASET_IDS = ("D0", "D1", "D2", "D3")
 MODEL_IDS = ("M0", "M1", "M2", "M3")
@@ -180,19 +186,17 @@ def generate_dataset(which, cfg, rng):
         b = chol_S @ rng.standard_normal(cfg.d)
         s2y = _inv_gamma(rng, 3.0, 0.3)
         retries = 0
+        struct = EtaCovStructure(m=4, pattern=ETA_PATTERN)
         while True:
             vh = _inv_gamma(rng, 3.0, 0.1, 4)
-            sig = np.sqrt(vh)
-            Sh = np.diag(vh)
-            for r, c in ETA_PATTERN:
-                Sh[r, c] = Sh[c, r] = cfg.rho * sig[r] * sig[c]
-            try:
+            se, ok = assemble_sigma_eta_batch(struct, vh[None], np.array([cfg.rho]))
+            if ok[0]:
+                Sh = se[0]
                 Lh = np.linalg.cholesky(Sh)
                 break
-            except np.linalg.LinAlgError:
-                retries += 1
-                if retries > 100:
-                    raise RuntimeError("group-level covariance kept failing Cholesky")
+            retries += 1
+            if retries > 100:
+                raise RuntimeError("group-level covariance kept failing the positive-definiteness gate")
         h = rng.standard_normal((cfg.J, 4)) @ Lh.T
         y = (
             X @ b

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp, ndtr, ndtri
 
-from mlevidence.likelihood_core import batch_log_full, batch_log_integrated
+from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
 _SWEEPS_BY_MODE = {"integrated": 10, "full": 25}
@@ -113,21 +113,6 @@ def _sample_truncnorm(rng, size):
     return ndtri(lo + rng.random(size) * (hi - lo))
 
 
-def _variance_block_layout(spec):
-    """(ig_priors, rho_sampled) for the tail block of the sampling vector."""
-    igs = [spec.ig_y]
-    if spec.family == "SimpleMultilevel":
-        igs += list(spec.ig_eta)
-    elif spec.family == "GeneralMultilevel":
-        igs += list(spec.ig_eta)
-    rho_sampled = (
-        spec.family == "GeneralMultilevel"
-        and spec.corr_prior is not None
-        and not spec.corr_prior.is_fixed
-    )
-    return igs, rho_sampled
-
-
 class _Target:
     """dim, sample_prior(rng, N), log_prior(U), log_lik(U) on the sampling scale."""
 
@@ -138,58 +123,51 @@ class _Target:
         self.log_lik = log_lik
 
 
-def _variance_block_to_natural(spec, block):
-    igs, rho_sampled = _variance_block_layout(spec)
-    k = len(igs)
+def variance_block_to_natural(spec, block):
+    """Map sampling-scale variance rows to natural (variance, correlation) rows."""
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    layout = spec.layout
+    k = len(layout.igs)
     nat = np.exp(block[:, :k])
-    if rho_sampled:
+    if layout.rho_sampled:
         nat = np.column_stack([nat, np.tanh(block[:, k])])
     return nat
 
 
 def _variance_block_log_prior(spec, block):
-    igs, rho_sampled = _variance_block_layout(spec)
+    layout = spec.layout
     logp = np.zeros(block.shape[0])
-    for i, ig in enumerate(igs):
+    for i, ig in enumerate(layout.igs):
         u = block[:, i]
         v = np.exp(u)
         logp += _ig_log_density(v, ig.shape, ig.scale) + u  # + u: Jacobian of log scale
-    if rho_sampled:
-        r = block[:, len(igs)]
+    if layout.rho_sampled:
+        r = block[:, len(layout.igs)]
         rho = np.tanh(r)
         logp += _truncnorm_logpdf(rho) + np.log1p(-rho * rho)
     return logp
 
 
 def _sample_variance_block(spec, rng, size):
-    igs, rho_sampled = _variance_block_layout(spec)
-    cols = [np.log(1.0 / rng.gamma(ig.shape, 1.0 / ig.scale, size)) for ig in igs]
-    if rho_sampled:
+    layout = spec.layout
+    cols = [np.log(1.0 / rng.gamma(ig.shape, 1.0 / ig.scale, size)) for ig in layout.igs]
+    if layout.rho_sampled:
         cols.append(np.arctanh(_sample_truncnorm(rng, size)))
     return np.column_stack(cols)
-
-
-def variance_block_to_natural(spec, block):
-    """Map sampling-scale variance rows to natural (variance, correlation) rows."""
-    return _variance_block_to_natural(spec, np.atleast_2d(np.asarray(block, dtype=float)))
-
-
-def _variance_block_dim(spec):
-    igs, rho_sampled = _variance_block_layout(spec)
-    return len(igs) + (1 if rho_sampled else 0)
 
 
 def build_target(stats, spec, mode):
     """Assemble the tempered-SMC target for the given likelihood mode."""
     if mode not in ("integrated", "full"):
         raise ValueError("mode must be 'integrated' or 'full'")
-    nv = _variance_block_dim(spec)
+    layout = spec.layout
+    nv = layout.n_params
 
     if mode == "integrated":
         lik = batch_log_integrated(stats, spec)
 
         def log_lik(U):
-            return lik(_variance_block_to_natural(spec, U))
+            return lik(variance_block_to_natural(spec, U))
 
         return _Target(
             dim=nv,
@@ -199,24 +177,12 @@ def build_target(stats, spec, mode):
         )
 
     d = stats.d
-    if spec.family in ("LinearModel", "LinearModelNIG"):
-        meff = 0
-    elif spec.family == "SimpleMultilevel":
-        meff = 1
-    else:
-        meff = stats.m
+    meff = layout.group_width
     J = stats.J if meff else 0
     dim = d + J * meff + nv
     lik = batch_log_full(stats, spec)
-    chol_prior = np.linalg.cholesky(spec.prior_cov)
-    prior_prec = np.linalg.inv(spec.prior_cov)
-    logdet_prior = 2.0 * float(np.sum(np.log(np.diag(chol_prior))))
+    prior = CoefPrior.of(spec)
     mu = spec.prior_mean
-    fixed_rho = (
-        spec.corr_prior.value
-        if spec.family == "GeneralMultilevel" and spec.corr_prior and spec.corr_prior.is_fixed
-        else None
-    )
 
     def split(U):
         beta = U[:, :d]
@@ -224,38 +190,23 @@ def build_target(stats, spec, mode):
         block = U[:, d + J * meff:]
         return beta, eta, block
 
-    def eta_cov_stack(spec, nat, size):
-        """(P, meff, meff) group-level covariances; PD mask alongside."""
-        if spec.family == "SimpleMultilevel":
-            se = nat[:, 1][:, None, None]
-            return se, np.ones(size, dtype=bool)
-        m = spec.eta_structure.m
-        v = nat[:, 1:1 + m]
-        rho = nat[:, 1 + m] if nat.shape[1] > 1 + m else (
-            np.full(size, fixed_rho) if fixed_rho is not None else np.zeros(size)
-        )
-        sig = np.sqrt(v)
-        se = np.zeros((size, m, m))
-        ii = np.arange(m)
-        se[:, ii, ii] = v
-        for r, c in spec.eta_structure.pattern:
-            off = rho * sig[:, r] * sig[:, c]
-            se[:, r, c] = off
-            se[:, c, r] = off
-        ok = np.linalg.eigvalsh(se)[:, 0] > 0
-        return np.where(ok[:, None, None], se, np.eye(m)[None]), ok
+    def beta_scale(block):
+        """Scale of the coefficient prior covariance: gamma * sigma2 in the conjugate family."""
+        if spec.gamma is None:
+            return np.ones(block.shape[0])
+        return spec.gamma * np.exp(block[:, 0])
 
     def log_prior(U):
         beta, eta, block = split(U)
         db = beta - mu[None, :]
+        g = beta_scale(block)
         logp = -0.5 * (
-            d * np.log(2.0 * np.pi) + logdet_prior
-            + np.einsum("pa,ab,pb->p", db, prior_prec, db, optimize=True)
+            d * (np.log(2.0 * np.pi) + np.log(g)) + prior.logdet
+            + np.einsum("pa,ab,pb->p", db, prior.prec, db, optimize=True) / g
         )
         logp += _variance_block_log_prior(spec, block)
         if meff:
-            nat = _variance_block_to_natural(spec, block)
-            se, ok = eta_cov_stack(spec, nat, U.shape[0])
+            se, ok = layout.sigma_eta(variance_block_to_natural(spec, block))
             Le = np.linalg.cholesky(se)
             logdet_e = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
             eta3 = eta.reshape(U.shape[0], J, meff)
@@ -267,11 +218,10 @@ def build_target(stats, spec, mode):
 
     def sample_prior(rng, size):
         block = _sample_variance_block(spec, rng, size)
-        beta = mu[None, :] + rng.standard_normal((size, d)) @ chol_prior.T
-        parts = [beta]
+        z = rng.standard_normal((size, d)) @ prior.chol.T
+        parts = [mu[None, :] + np.sqrt(beta_scale(block))[:, None] * z]
         if meff:
-            nat = _variance_block_to_natural(spec, block)
-            se, _ = eta_cov_stack(spec, nat, size)
+            se, _ = layout.sigma_eta(variance_block_to_natural(spec, block))
             Le = np.linalg.cholesky(se)
             z = rng.standard_normal((size, J, meff))
             eta3 = np.einsum("pab,pjb->pja", Le, z)
@@ -281,13 +231,7 @@ def build_target(stats, spec, mode):
 
     def log_lik(U):
         beta, eta, block = split(U)
-        s2y = np.exp(block[:, 0])
-        eta_arg = None
-        if spec.family == "SimpleMultilevel":
-            eta_arg = eta
-        elif spec.family == "GeneralMultilevel":
-            eta_arg = eta.reshape(U.shape[0], J, meff)
-        return lik(beta, eta_arg, s2y)
+        return lik(beta, eta if meff else None, np.exp(block[:, 0]))
 
     return _Target(dim=dim, sample_prior=sample_prior, log_prior=log_prior, log_lik=log_lik)
 
@@ -381,24 +325,14 @@ def mh_rejuvenate(cloud, target_logdensity, sweeps, rng=None):
             (int(cloud.rng_seed) ^ ((cloud.stage + 1) * SEED_SPLIT_MULTIPLIER)) % 2 ** 64
         )
     U = np.array(cloud.particles, dtype=float)
-    w = cloud.normalized_weights()
     dim = U.shape[1]
-    prop_chol = _proposal_chol(U, w, dim)
-    logp = target_logdensity(U)
-    n_acc = 0
-    for _ in range(sweeps):
-        prop = U + rng.standard_normal(U.shape) @ prop_chol.T
-        lp_prop = target_logdensity(prop)
-        with np.errstate(invalid="ignore"):
-            accept = np.log(rng.random(U.shape[0])) < lp_prop - logp
-        U = np.where(accept[:, None], prop, U)
-        logp = np.where(accept, lp_prop, logp)
-        n_acc += int(accept.sum())
-    return replace(
-        cloud,
-        particles=U,
-        accept_rate=n_acc / (sweeps * U.shape[0]),
+    prop_chol = _proposal_chol(U, cloud.normalized_weights(), dim)
+    # The whole density rides in log_prior; a zero log_lik at beta = 1 adds nothing.
+    target = _Target(dim, None, target_logdensity, lambda V: np.zeros(V.shape[0]))
+    U, _, _, rate = _mh_sweeps(
+        U, target_logdensity(U), np.zeros(U.shape[0]), 1.0, target, sweeps, prop_chol, rng
     )
+    return replace(cloud, particles=U, accept_rate=rate)
 
 
 def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,

@@ -5,6 +5,7 @@ from scipy.stats import invgamma
 
 from mlevidence.data_model import Dataset
 from mlevidence.likelihood_core import ThetaPoint, precompute
+from mlevidence.model_spec import IGPrior, ModelSpec
 from mlevidence.analytic_evidence import (
     QuadratureError,
     nig_log_evidence,
@@ -59,6 +60,16 @@ class TestNIGEvidence:
         ref, err = quadrature_evidence(data, spec)
         assert err < 1e-4
         assert abs(nig_log_evidence(stats, spec) - ref) < 1e-4
+
+    def test_nonzero_prior_mean_matches_quadrature(self, rng):
+        data = make_dataset(rng, 40, 1, 0, 1)
+        spec = ModelSpec(
+            family="LinearModelNIG", prior_mean=np.array([2.0]), prior_cov=0.7 * np.eye(1),
+            ig_y=IGPrior(3.0, 0.4), gamma=2.0,
+        )
+        ref, err = quadrature_evidence(data, spec)
+        assert err < 1e-4
+        assert abs(nig_log_evidence(precompute(data), spec) - ref) < 1e-4
 
     def test_evidence_is_sum_of_one_point_updates(self, rng):
         """Chain rule: evidence factorizes over a data split."""

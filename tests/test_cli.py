@@ -1,10 +1,13 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlevidence.cli import main, radon_model_spec
+from mlevidence.cli import build_parser, main, radon_model_spec
+from mlevidence.posterior_analysis import AICResult
 
 from conftest import rng as _rng_fixture  # noqa: F401 (fixture re-export)
 
@@ -149,6 +152,24 @@ class TestCompare:
         payload = json.loads(open(str(out) + ".json").read())
         assert len(payload["pairwise_log_bayes_factors"]) == 1
 
+    def test_aic_convergence_reaches_outputs(self, sim_dir, tmp_path, monkeypatch, capsys):
+        from mlevidence import cli
+
+        monkeypatch.setattr(cli, "aic", lambda data, spec: AICResult(
+            aic=10.0, k=3, max_loglik=-2.0, theta_hat={}, converged=False,
+        ))
+        out = tmp_path / "cmp.csv"
+        rc = main([
+            "compare", "--data", str(sim_dir / "D0.csv"), "--models", "sim:M0",
+            "--particles", "128", "--runs", "2", "--seed", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            assert [r["aic_converged"] for r in csv.DictReader(fh)] == ["False"]
+        payload = json.loads(open(str(out) + ".json").read())
+        assert payload["table"][0]["aic_converged"] is False
+        assert "not converged" in capsys.readouterr().out
+
 
 class TestRadonBuiltins:
     def test_model_spec_families(self):
@@ -202,3 +223,14 @@ class TestRadonBuiltins:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+
+def test_readme_command_lines_parse():
+    """Every ``mlevidence`` line of the README's sh blocks is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip().startswith("mlevidence ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

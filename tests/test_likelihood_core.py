@@ -314,3 +314,31 @@ def test_property_simple_ml_dense_marginal(seed, s2y, s2e):
         data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y)
     )
     assert abs(log_integrated_simple_ml(stats, spec, s2y, s2e) - direct) < 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_general_ml_batch_dense_marginal(seed):
+    """Each row of a GeneralMultilevel block, sampled correlation included,
+    against the dense n x n Gaussian marginal; a row whose group-level
+    covariance is not positive-definite gets -inf."""
+    r = np.random.default_rng(seed)
+    J = int(r.integers(1, 4))
+    data = make_dataset(r, int(r.integers(J + 1, 10)), 2, 3, J)
+    pattern = ((0, 1), (1, 2))
+    spec = general_spec(2, m=3, sampled_rho=True, pattern=pattern)
+    theta = np.column_stack([r.uniform(0.1, 3.0, (8, 4)), r.uniform(-0.7, 0.7, 8)])
+    theta[-1, 4] = 0.9  # 1 - 0.9 sqrt(2) < 0: not positive-definite
+    out = batch_log_integrated(precompute(data), spec)(theta)
+    assert out[-1] == -np.inf
+    for row, value in zip(theta[:-1], out[:-1]):
+        se = np.diag(row[1:4])
+        for i, j in pattern:
+            se[i, j] = se[j, i] = row[4] * np.sqrt(row[1 + i] * row[1 + j])
+        V = row[0] * np.eye(data.n) + data.x @ spec.prior_cov @ data.x.T
+        for g in range(1, J + 1):
+            idx = np.flatnonzero(data.group_of == g)
+            V[np.ix_(idx, idx)] += data.z[idx] @ se @ data.z[idx].T
+        sign, logdet = np.linalg.slogdet(V)
+        direct = -0.5 * (data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y))
+        assert abs(value - direct) < 1e-8
