@@ -126,13 +126,18 @@ def _latent_layout(data, spec):
     return data.d, data.J if meff else 0, meff
 
 
-def _full_loglik_rows_batch(data, beta, eta_flat, meff, sigma2_y):
-    """Row-by-row Gaussian log likelihood over (N, .) blocks, independent of SufficientStats."""
+def _full_loglik_rows_batch(data, beta, eta_flat, z_effects, sigma2_y):
+    """Row-by-row Gaussian log likelihood over (N, .) blocks, independent of SufficientStats.
+
+    ``z_effects`` is the spec's group-effect kind: None (no group effects),
+    False (one intercept per group, whatever z columns the data carry) or
+    True (one coefficient per z column).
+    """
     mean = beta @ data.x.T                                # (N, n)
-    if meff == 1 and data.m == 0:
+    if z_effects is False:
         mean = mean + eta_flat[:, data.group_of - 1]
-    elif meff > 0:
-        eta = eta_flat.reshape(-1, data.J, meff)[:, data.group_of - 1, :]
+    elif z_effects:
+        eta = eta_flat.reshape(eta_flat.shape[0], data.J, -1)[:, data.group_of - 1, :]
         mean = mean + np.einsum("im,Nim->Ni", data.z, eta)
     resid = data.y[None, :] - mean
     s2 = np.asarray(sigma2_y, dtype=float)
@@ -172,7 +177,7 @@ def quadrature_log_integrated(data, spec, theta, *, target=1e-8, max_order=160):
     def log_joint(pts):
         beta = pts[:, :d]
         eta_flat = pts[:, d:]
-        val = _full_loglik_rows_batch(data, beta, eta_flat, meff, sigma2_y)
+        val = _full_loglik_rows_batch(data, beta, eta_flat, spec.layout.z_effects, sigma2_y)
         t = solve_triangular(Lb, (beta - spec.prior_mean[None, :]).T, lower=True)
         val = val - 0.5 * (d * LOG_2PI + logdet_b + np.sum(t * t, axis=0))
         if eta_cov is not None:
@@ -266,7 +271,7 @@ def quadrature_evidence(data, spec, *, fixed_theta=None, target=1e-8, max_order=
         u = pts[:, d + J * meff:]
         theta_nat = np.exp(u)
         s2 = theta_nat[:, 0]
-        val = _full_loglik_rows_batch(data, beta, eta_flat, meff, s2)
+        val = _full_loglik_rows_batch(data, beta, eta_flat, spec.layout.z_effects, s2)
         t = solve_triangular(Lb, (beta - spec.prior_mean[None, :]).T, lower=True)
         quad_b = np.sum(t * t, axis=0)
         if spec.family == "LinearModelNIG":

@@ -9,6 +9,18 @@ that system: the batched integrated likelihood, the conditional
 coefficient posteriors, the AIC profile (with a flat prior), and the
 one-point functions ``log_integrated_*``, which are one-row calls.
 
+The single-level families and SimpleMultilevel work in the prior-whitened
+eigenbasis of X^T X, where the precision is diagonal plus, for
+SimpleMultilevel, a rank-r correction ``-V^T V`` with one row per group
+(r = J).  The kernel keeps that correction low-rank only while r < d, so
+the solves follow from the shapes of the system alone: diagonal rows cost
+O(d); with the low-rank term the matrix determinant lemma and the
+Woodbury identity need only an r x r Cholesky factor per row; otherwise
+(r >= d, or GeneralMultilevel) the d x d precision is factored densely.
+No evaluator runs an LU solve on a triangular factor: residual quadratic
+forms come from a bordered Cholesky factor, other solves from forward
+substitution (:func:`solve_lower`).
+
 None of them is a reference for the others.  The references are
 independent of the kernel: the quadrature oracle
 (:func:`mlevidence.analytic_evidence.quadrature_log_integrated`), the
@@ -155,18 +167,22 @@ class System(NamedTuple):
 
     The integrated log likelihood of a row is
     ``-0.5 * (n log 2pi + log|A| + logdet + datafit - rhs^T A^-1 rhs)`` and
-    the conditional coefficient posterior is ``N(A^-1 rhs, A^-1)``.  When
-    ``basis`` is set, ``A`` is diagonal, stored as (P, d), in the
-    coordinates g of ``beta = basis @ g``; ``logdet`` then carries the
-    change of basis.
+    the conditional coefficient posterior is ``N(A^-1 rhs, A^-1)``.
+
+    When ``basis`` is set, the system is in the coordinates g of
+    ``beta = basis @ g`` and ``logdet`` carries the change of basis.  ``A``
+    is then either dense, or diagonal and stored as (P, d); a diagonal ``A``
+    may come with a low-rank term ``V`` of shape (P, r, d), r < d, and the
+    precision is ``diag(A) - V^T V``.  Without a basis ``A`` is dense.
     """
 
-    A: np.ndarray           # (P, d, d), or (P, d) diagonal in the basis
+    A: np.ndarray           # (P, d, d) dense, or (P, d) diagonal in the basis
     rhs: np.ndarray         # (P, d)
     logdet: np.ndarray      # (P,) log-determinant terms besides log|A|
     datafit: np.ndarray     # (P,) quadratic terms besides rhs^T A^-1 rhs
     ok: np.ndarray          # (P,) False where the row has zero density
     basis: np.ndarray | None
+    V: np.ndarray | None = None   # (P, r, d): precision diag(A) - V^T V
 
 
 def _check_family(spec, *allowed):
@@ -188,21 +204,31 @@ def theta_row(theta):
 # One kernel per family: natural variance rows -> System.
 # ---------------------------------------------------------------------------
 
-def _single_level_kernel(stats, spec, prior):
-    """LinearModel and LinearModelNIG, in the prior-whitened eigenbasis of X^T X.
+def _eigenbasis(stats, spec, prior):
+    """The prior-whitened eigenbasis of X^T X: ``(basis, lam, p, a, b)``.
 
     With ``basis = L Q``, where ``L L^T`` is the prior covariance and Q
-    diagonalizes ``L^T X^T X L``, the precision is diagonal for every
-    sigma2: one eigendecomposition, then O(d) per row.  The conjugate
-    family's prior covariance ``gamma * sigma2 * L L^T`` scales the prior
-    terms by ``c = 1 / (gamma * sigma2)``.  Needs a proper prior.
+    diagonalizes ``L^T X^T X L``, the coordinates g of ``beta = basis @ g``
+    have prior precision ``p I`` (p = 1), ``X^T X = diag(lam)``, prior
+    precision times prior mean ``a`` and ``X^T y = b``.  A flat prior
+    whitens with the identity and has p = 0 and a = 0.
     """
-    L = prior.chol
+    flat = prior.chol is None
+    L = np.eye(stats.d) if flat else prior.chol
     lam, Q = np.linalg.eigh(L.T @ stats.gram_xx @ L)
     lam = np.clip(lam, 0.0, None)
-    a = Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
-    b = Q.T @ (L.T @ stats.sum_xy)
-    basis = L @ Q
+    a = np.zeros(stats.d) if flat else Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
+    return L @ Q, lam, 0.0 if flat else 1.0, a, Q.T @ (L.T @ stats.sum_xy)
+
+
+def _single_level_kernel(stats, spec, prior):
+    """LinearModel and LinearModelNIG, diagonal in the :func:`_eigenbasis`.
+
+    One eigendecomposition, then O(d) per row.  The conjugate family's
+    prior covariance ``gamma * sigma2 * L L^T`` scales the prior terms by
+    ``c = 1 / (gamma * sigma2)``.  Needs a proper prior.
+    """
+    basis, lam, _, a, b = _eigenbasis(stats, spec, prior)
 
     def system(nat):
         s2 = nat[:, 0]
@@ -223,30 +249,46 @@ def _single_level_kernel(stats, spec, prior):
 def _sm_kernel(stats, spec, prior):
     """SimpleMultilevel: group intercepts integrated out in closed form.
 
-    Each group contributes a rank-one correction with shrinkage weight
-    ``w_j = sigma2_eta / (sigma2_y + n_j sigma2_eta)``; the corrections of a
-    block are one product against the stacked per-group outer products.
+    Group j removes ``w_j x_j x_j^T / sigma2_y`` from the single-level
+    precision, with shrinkage weight
+    ``w_j = sigma2_eta / (sigma2_y + n_j sigma2_eta)`` and x_j the group's
+    column sums.  In the :func:`_eigenbasis` that is the diagonal
+    single-level precision minus ``V^T V``, where row j of V is
+    ``sqrt(w_j / sigma2_y) basis^T x_j``: a rank-J correction.
+
+    This is where the form of the solves is chosen, from shapes alone.
+    While J < d the system keeps V, so that the solves need only a J x J
+    Woodbury factor per row.  Otherwise the J corrections are summed into a
+    dense d x d precision in the same coordinates (one product against the
+    stacked per-group outer products), which the solves factor directly.
     """
-    d = stats.d
+    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
     nj = stats.n_per_group.astype(float)
-    Yj, Xj = stats.group_sum_y, stats.group_sum_x
-    outer = np.einsum("ja,jb->jab", Xj, Xj).reshape(stats.J, d * d)
-    yx = Yj[:, None] * Xj
+    Yj = stats.group_sum_y
+    Xb = stats.group_sum_x @ basis          # (J, d): rows basis^T x_j
+    yXb = Yj[:, None] * Xb
     yy = Yj ** 2
+    low_rank = stats.J < stats.d
+    outer = None if low_rank else np.einsum("ja,jb->jab", Xb, Xb).reshape(stats.J, stats.d ** 2)
 
     def system(nat):
         s2y, s2e = nat[:, 0], nat[:, 1]
         w = s2e[:, None] / (s2y[:, None] + nj[None, :] * s2e[:, None])
+        diag = p + lam[None, :] / s2y[:, None]
+        if low_rank:
+            A, V = diag, np.sqrt(w / s2y[:, None])[:, :, None] * Xb[None]
+        else:
+            A, V = _diag_minus(diag, ((w / s2y[:, None]) @ outer).reshape(-1, stats.d, stats.d)), None
         return System(
-            A=prior.prec[None] + (
-                stats.gram_xx[None] - (w @ outer).reshape(-1, d, d)
-            ) / s2y[:, None, None],
-            rhs=prior.prec_mu[None] + (stats.sum_xy[None] - w @ yx) / s2y[:, None],
-            logdet=prior.logdet + stats.n * np.log(s2y)
+            A=A,
+            rhs=p * a[None, :] + (b[None, :] - w @ yXb) / s2y[:, None],
+            # log|L L^T| itself cancels against |det basis|^2.
+            logdet=stats.n * np.log(s2y)
             + np.sum(np.log1p(nj[None, :] * s2e[:, None] / s2y[:, None]), axis=1),
             datafit=prior.quad + (stats.sum_yy - w @ yy) / s2y,
             ok=np.ones(s2y.shape, dtype=bool),
-            basis=None,
+            basis=basis,
+            V=V,
         )
 
     return system
@@ -260,12 +302,20 @@ def _gm_kernel(stats, spec, prior):
     """
     layout = spec.layout
     J, d, m = stats.J, stats.d, layout.group_width
-    Gz, Szy = stats.group_gram_zz, stats.group_sum_zy
-    # Group corrections as one tall matmul: with B_j = M_j^{-1} [C_j^T s_j]
-    # the sums over j of C_j B_j collapse to a (d+1)-column product.
-    cxz_t = stats.group_cross_xz.transpose(0, 2, 1)          # (J, m, d)
-    rhs_j = np.concatenate([cxz_t, Szy[:, :, None]], axis=2)
-    cbig = cxz_t.reshape(J * m, d)
+    Gz = stats.group_gram_zz
+    # Each row's bordered matrix [[A, rhs], [rhs^T, datafit]] is
+    # base[0] + base[1] / sigma2_y minus the group corrections: with
+    # R_j = [C_j^T s_j] and T_j = L_j^-1 R_j / sigma2_y, where
+    # M_j = L_j L_j^T, the sum over j of R_j^T M_j^-1 R_j / sigma2_y^2 is
+    # T^T T over the stacked T_j.
+    R = np.concatenate(
+        [stats.group_cross_xz.transpose(0, 2, 1), stats.group_sum_zy[:, :, None]], axis=2
+    )                                                         # (J, m, d+1)
+    base = np.stack([
+        _border(prior.prec, prior.prec_mu, prior.quad),
+        _border(stats.gram_xx, stats.sum_xy, stats.sum_yy),
+    ]).reshape(2, (d + 1) ** 2)
+    eye = np.eye(m)
 
     def system(nat):
         s2y = nat[:, 0]
@@ -273,19 +323,17 @@ def _gm_kernel(stats, spec, prior):
         se, ok = layout.sigma_eta(nat)
         Le = np.linalg.cholesky(se)
         logdet_eta = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
-        Mj = np.linalg.inv(se)[:, None] + Gz[None] / s2y[:, None, None, None]
+        Mj = inverse_from_chol(Le)[:, None] + Gz[None] / s2y[:, None, None, None]
         Lj = np.linalg.cholesky(Mj)
         sum_logdet_groups = 2.0 * np.sum(np.log(np.einsum("pjii->pji", Lj)), axis=(1, 2))
-        B = np.linalg.inv(Mj) @ rhs_j[None]                     # (P, J, m, d+1)
-        prod = cbig.T[None] @ B.reshape(P, J * m, d + 1)
-        s4 = s2y * s2y
+        T = ((solve_lower(Lj, eye) / s2y[:, None, None, None]) @ R[None]).reshape(P, J * m, d + 1)
+        full = (np.column_stack([np.ones(P), 1.0 / s2y]) @ base).reshape(P, d + 1, d + 1)
+        full -= T.transpose(0, 2, 1) @ T
         return System(
-            A=prior.prec[None] + stats.gram_xx[None] / s2y[:, None, None]
-            - prod[:, :, :d] / s4[:, None, None],
-            rhs=prior.prec_mu[None] + stats.sum_xy[None] / s2y[:, None] - prod[:, :, d] / s4[:, None],
+            A=full[:, :d, :d],
+            rhs=full[:, :d, d],
             logdet=prior.logdet + stats.n * np.log(s2y) + J * logdet_eta + sum_logdet_groups,
-            datafit=prior.quad + stats.sum_yy / s2y
-            - np.einsum("pjm,jm->p", B[:, :, :, d], Szy) / s4,
+            datafit=full[:, d, d],
             ok=ok,
             basis=None,
         )
@@ -313,13 +361,93 @@ def posterior_system(stats, spec, prior):
     return _KERNELS[spec.family](stats, spec, prior)
 
 
-def _logdet_quad(s):
-    """log|A| and rhs^T A^-1 rhs of every row of a system."""
-    if s.basis is not None:
-        return np.sum(np.log(s.A), axis=1), np.sum(s.rhs * s.rhs / s.A, axis=1)
-    L = np.linalg.cholesky(s.A)
-    t = np.linalg.solve(L, s.rhs[:, :, None])[:, :, 0]
-    return 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1), np.sum(t * t, axis=1)
+def _diag_minus(diag, corr):
+    """``diag(diag) - corr`` for (P, d) diagonals and (P, d, d) corrections, in place of corr."""
+    d = diag.shape[1]
+    A = np.negative(corr, out=corr)
+    A[:, np.arange(d), np.arange(d)] += diag
+    return A
+
+
+def dense_precision(s):
+    """The (P, d, d) precision of every row of a system, in its own coordinates."""
+    if s.A.ndim == 3:
+        return s.A
+    P, d = s.A.shape
+    return _diag_minus(s.A, np.zeros((P, d, d)) if s.V is None else s.V.transpose(0, 2, 1) @ s.V)
+
+
+def solve_lower(L, B):
+    """``L^-1 B`` for lower-triangular ``L`` (..., k, k) and ``B`` (..., k, c), by forward substitution.
+
+    Leading dimensions broadcast.  The loop runs over k, so it suits the
+    small orders used here (group widths and the rank of a correction).
+    """
+    X = np.empty(np.broadcast_shapes(L.shape[:-2], B.shape[:-2]) + B.shape[-2:])
+    for i in range(L.shape[-1]):
+        X[..., i, :] = (
+            B[..., i, :] - np.einsum("...k,...kc->...c", L[..., i, :i], X[..., :i, :])
+        ) / L[..., i, i, None]
+    return X
+
+
+def inverse_from_chol(L):
+    """``(L L^T)^-1 = L^-T L^-1`` for a stack of small lower-triangular factors."""
+    L_inv = solve_lower(L, np.eye(L.shape[-1]))
+    return np.einsum("...ka,...kb->...ab", L_inv, L_inv)
+
+
+def _border(M, b, c):
+    """The bordered matrix ``[[M, b], [b^T, c]]`` of (..., k, k), (..., k) and (...) blocks."""
+    k = b.shape[-1]
+    full = np.empty(b.shape[:-1] + (k + 1, k + 1))
+    full[..., :k, :k] = M
+    full[..., :k, k] = b
+    full[..., k, :k] = b
+    full[..., k, k] = c
+    return full
+
+
+def _bordered(M, b, c):
+    """``log|M|`` and ``c - b^T M^-1 b`` of every row, M (P, k, k) positive-definite.
+
+    Both come from one Cholesky factor of ``[[M, b], [b^T, c]]``, whose last
+    diagonal entry is ``sqrt(c - b^T M^-1 b)``.  Where that is not positive
+    for some row the factorization fails, and the block falls back to a
+    factor of M and forward substitution, which gives the row its finite
+    value.
+    """
+    k = b.shape[1]
+    try:
+        diag = np.einsum("pii->pi", np.linalg.cholesky(_border(M, b, c)))
+        return 2.0 * np.sum(np.log(diag[:, :k]), axis=1), diag[:, k] ** 2
+    except np.linalg.LinAlgError:
+        L = np.linalg.cholesky(M)
+        t = solve_lower(L, b[:, :, None])[:, :, 0]
+        return 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1), c - np.sum(t * t, axis=1)
+
+
+def _woodbury(s):
+    """``K = I - V D^-1 V^T`` and ``V D^-1`` of a low-rank system, ``D = diag(A)``.
+
+    ``|D - V^T V| = |D| |K|`` (matrix determinant lemma) and
+    ``(D - V^T V)^-1 = D^-1 + (V D^-1)^T K^-1 (V D^-1)`` (Woodbury).
+    """
+    VD = s.V / s.A[:, None, :]
+    return np.eye(s.V.shape[1]) - VD @ s.V.transpose(0, 2, 1), VD
+
+
+def _logdet_resid(s):
+    """``log|A|`` and ``datafit - rhs^T A^-1 rhs`` of every row of a system."""
+    if s.A.ndim == 3:
+        return _bordered(s.A, s.rhs, s.datafit)
+    logdet = np.sum(np.log(s.A), axis=1)
+    resid = s.datafit - np.sum(s.rhs * s.rhs / s.A, axis=1)
+    if s.V is None:
+        return logdet, resid
+    K, VD = _woodbury(s)
+    logdet_k, resid = _bordered(K, np.einsum("prd,pd->pr", VD, s.rhs), resid)
+    return logdet + logdet_k, resid
 
 
 def batch_log_integrated(stats, spec):
@@ -338,8 +466,8 @@ def batch_log_integrated(stats, spec):
         s = system(theta)
         if n == 0:
             return np.where(s.ok, 0.0, -np.inf)
-        logdet_a, quad = _logdet_quad(s)
-        val = -0.5 * (n * LOG_2PI + logdet_a + s.logdet + s.datafit - quad)
+        logdet_a, resid = _logdet_resid(s)
+        val = -0.5 * (n * LOG_2PI + logdet_a + s.logdet + resid)
         return np.where(s.ok, val, -np.inf)
 
     return loglik
@@ -489,11 +617,23 @@ def batch_conditional_beta(stats, spec):
 
     def conditional(theta):
         s = system(theta)
-        if s.basis is not None:
-            return (s.rhs / s.A) @ s.basis.T, (s.basis[None] / s.A[:, None, :]) @ s.basis.T
-        cov = np.linalg.inv(s.A)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        return np.einsum("pab,pb->pa", cov, s.rhs), cov
+        B = s.basis
+        if s.A.ndim == 3:
+            cov = np.linalg.inv(s.A)
+            cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+            mean = np.einsum("pab,pb->pa", cov, s.rhs)
+            if B is None:
+                return mean, cov
+            return mean @ B.T, B[None] @ cov @ B.T
+        mean = (s.rhs / s.A) @ B.T
+        cov = (B[None] / s.A[:, None, :]) @ B.T
+        if s.V is not None:
+            K, VD = _woodbury(s)
+            W = solve_lower(np.linalg.cholesky(K), VD)          # (P, r, d): K^-1 = L^-T L^-1
+            WB = W @ B.T
+            mean += np.einsum("prd,pr->pd", WB, np.einsum("prd,pd->pr", W, s.rhs))
+            cov += WB.transpose(0, 2, 1) @ WB
+        return mean, cov
 
     return conditional
 

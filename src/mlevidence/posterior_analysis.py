@@ -20,7 +20,9 @@ from mlevidence.likelihood_core import (
     LOG_2PI,
     CoefPrior,
     batch_conditional_beta,
+    dense_precision,
     group_design,
+    inverse_from_chol,
     posterior_system,
     precompute,
     theta_row,
@@ -187,7 +189,7 @@ def _profile_loglik_builder(stats, spec):
         if not s.ok[0]:
             return -np.inf
         c = s.rhs[0]
-        fit = float(c @ np.linalg.lstsq(s.A[0], c, rcond=None)[0])
+        fit = float(c @ np.linalg.lstsq(dense_precision(s)[0], c, rcond=None)[0])
         return -0.5 * (n * LOG_2PI + s.logdet[0] + s.datafit[0] - fit)
 
     return profile, layout.n_params
@@ -281,9 +283,9 @@ def conditional_eta_means(stats, spec, theta, beta):
         raise NotPositiveDefiniteError("group-level covariance is not positive-definite")
     Gz, Szy, Cxz = group_design(stats, layout.z_effects)
     s2y = theta.sigma2_y
-    M = np.linalg.inv(se[0])[None] + Gz / s2y
+    M = inverse_from_chol(np.linalg.cholesky(se)) + Gz / s2y
     rhs = (Szy - np.einsum("jam,a->jm", Cxz, beta)) / s2y
-    return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    return np.einsum("jab,jb->ja", inverse_from_chol(np.linalg.cholesky(M)), rhs)
 
 
 def export_fits(post, data, spec, model_id, meta, eta_means=None, eta_covs=None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp, ndtr, ndtri
 
-from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated
+from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
 _SWEEPS_BY_MODE = {"integrated": 10, "full": 25}
@@ -210,7 +210,7 @@ def build_target(stats, spec, mode):
             Le = np.linalg.cholesky(se)
             logdet_e = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
             eta3 = eta.reshape(U.shape[0], J, meff)
-            t = np.linalg.solve(Le[:, None], eta3[..., None])[..., 0]
+            t = solve_lower(Le[:, None], eta3[..., None])[..., 0]
             quad = np.sum(t * t, axis=(1, 2))
             logp += -0.5 * (J * (meff * np.log(2.0 * np.pi) + logdet_e) + quad)
             logp = np.where(ok, logp, -np.inf)
@@ -241,9 +241,10 @@ def build_target(stats, spec, mode):
 # ---------------------------------------------------------------------------
 
 def _ess(logw):
-    lw = logw - logsumexp(logw)
-    w = np.exp(lw)
-    return 1.0 / float(w @ w)
+    """Effective sample size ``(sum w)^2 / sum w^2`` of unnormalized log weights."""
+    w = np.exp(logw - np.max(logw))
+    total = float(np.sum(w))
+    return total * total / float(w @ w)
 
 
 def _next_beta(beta, logw, loglik, target_ess):
@@ -253,6 +254,8 @@ def _next_beta(beta, logw, loglik, target_ess):
     lo, hi = beta, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float lies strictly between them
+            break
         if _ess(logw + (mid - beta) * loglik) >= target_ess:
             lo = mid
         else:

@@ -132,6 +132,15 @@ class TestQuadratureOracle:
         with pytest.raises(QuadratureError):
             quadrature_evidence(data, spec)
 
+    def test_group_intercept_ignores_z_columns(self):
+        """A SimpleMultilevel spec integrates one intercept per group even
+        when the data carry z columns."""
+        data = make_dataset(np.random.default_rng(1), 8, 1, 2, 2)
+        theta = ThetaPoint(sigma2_y=0.8, sigma2_eta=0.5)
+        val, err = quadrature_log_integrated(data, simple_spec(1), theta)
+        assert err < 1e-8
+        assert abs(val - (-10.4114387352)) < 1e-8
+
     def test_gaussian_normalization_integrates_to_one(self):
         """With no data the latent integral is exactly the prior mass."""
         data = Dataset(

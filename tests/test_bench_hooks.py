@@ -7,6 +7,8 @@ the traced benchmark miscount without failing; these counters catch it.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from mlevidence import likelihood_core, posterior_analysis, smc_engine
 
 from conftest import make_dataset, simple_spec
@@ -26,17 +28,27 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
     data = make_dataset(rng, 60, 2, 0, 3)
     stats = likelihood_core.precompute(data)
     spec = simple_spec(2)
+    # Fewer groups than coefficients: the likelihood takes its low-rank form.
+    low_rank = likelihood_core.precompute(make_dataset(rng, 60, 5, 0, 2))
+    low_rank_spec = simple_spec(5)
+    system = likelihood_core.posterior_system(
+        low_rank, low_rank_spec, likelihood_core.CoefPrior.of(low_rank_spec))
+    assert system(np.ones((1, 2))).V is not None
     tracer = spans.Tracer()
     spans.install_layers(tracer)
     try:
         _, cloud = smc_engine.run_smc(stats, spec, "integrated", 50, seed=3)
         posterior_analysis.recover_beta_posterior(cloud, stats, spec, "integrated")
         posterior_analysis.aic(data, spec)
+        counts = dict(tracer.counts)
+        _, low_rank_cloud = smc_engine.run_smc(low_rank, low_rank_spec, "integrated", 50, seed=3)
     finally:
         tracer.uninstall()
-    counts = tracer.counts
     sweeps = smc_engine._SWEEPS_BY_MODE["integrated"]
     assert counts["smc_engine.mh_proposals"] == sweeps * 50 * cloud.stage
     assert counts["likelihood_core.integrated_calls"] > 0
     assert counts["posterior_analysis.aic_profile_evals"] > 0
     assert counts["smc_engine.stages"] == cloud.stage
+    assert counts["smc_engine.ess_evals"] > 0
+    assert tracer.counts["likelihood_core.integrated_calls"] > counts["likelihood_core.integrated_calls"]
+    assert tracer.counts["smc_engine.stages"] == cloud.stage + low_rank_cloud.stage

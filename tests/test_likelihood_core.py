@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mlevidence.data_model import Dataset
 from mlevidence.likelihood_core import (
     ThetaPoint,
+    batch_conditional_beta,
     batch_log_full,
     batch_log_integrated,
     conditional_beta_posterior,
@@ -156,6 +157,31 @@ class TestBoundaryReductions:
         theta = ThetaPoint(sigma2_y=0.8, nu=(np.ones(3), 0.99))
         assert log_integrated_general_ml(stats, spec, theta) == -np.inf
 
+    @pytest.mark.parametrize("d, m, J", [(2, 0, 4), (5, 0, 2), (2, 2, 3)])
+    def test_zero_response_is_finite(self, rng, d, m, J):
+        """y = 0 makes the residual quadratic form exactly zero, a bordered
+        Cholesky factor with a zero last pivot; the value is still the
+        dense n x n marginal."""
+        base = make_dataset(rng, 12, d, m, J)
+        data = Dataset(y=np.zeros(12), x=base.x, z=base.z, group_of=base.group_of)
+        stats = precompute(data)
+        if m:
+            spec = general_spec(d, m=m)
+            theta = np.array([[0.8, 0.4, 0.6]])
+            se = np.array([[0.4, 0.3 * np.sqrt(0.24)], [0.3 * np.sqrt(0.24), 0.6]])
+            z = data.z
+        else:
+            spec = simple_spec(d)
+            theta = np.array([[0.8, 0.5]])
+            se = np.array([[0.5]])
+            z = np.ones((12, 1))
+        V = 0.8 * np.eye(12) + data.x @ spec.prior_cov @ data.x.T
+        for g in range(1, J + 1):
+            idx = np.flatnonzero(data.group_of == g)
+            V[np.ix_(idx, idx)] += z[idx] @ se @ z[idx].T
+        direct = -0.5 * (12 * np.log(2 * np.pi) + np.linalg.slogdet(V)[1])
+        assert abs(batch_log_integrated(stats, spec)(theta)[0] - direct) < 1e-8
+
 
 class TestFullLikelihood:
     def test_matches_rowwise_computation(self, rng):
@@ -276,6 +302,24 @@ class TestConditionalBetaPosterior:
         assert np.allclose(mean, ref_mean, atol=1e-8)
         assert np.allclose(cov, ref_cov, atol=1e-8)
 
+    @pytest.mark.parametrize("d, J", [(6, 3), (2, 5)])
+    def test_simple_posterior_matches_dense_inverse(self, rng, d, J):
+        """J < d (low-rank solves) and J >= d (dense): the batched conditional
+        posteriors match inv(A) of the precision built from the n x n
+        marginal covariance, to 1e-10 relative."""
+        data = make_dataset(rng, 40, d, 0, J)
+        stats = precompute(data)
+        spec = simple_spec(d)
+        theta = np.array([[0.7, 0.3], [1.9, 0.05], [0.2, 2.5]])
+        means, covs = batch_conditional_beta(stats, spec)(theta)
+        for (s2y, s2e), mean, cov in zip(theta, means, covs):
+            Omega = s2y * np.eye(40) + s2e * (data.group_of[:, None] == data.group_of[None, :])
+            Oi = np.linalg.inv(Omega)
+            ref_cov = np.linalg.inv(np.linalg.inv(spec.prior_cov) + data.x.T @ Oi @ data.x)
+            ref_mean = ref_cov @ (data.x.T @ Oi @ data.y)
+            assert np.linalg.norm(cov - ref_cov) < 1e-10 * np.linalg.norm(ref_cov)
+            assert np.linalg.norm(mean - ref_mean) < 1e-10 * np.linalg.norm(ref_mean)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), s2=st.floats(0.05, 5.0))
@@ -298,22 +342,26 @@ def test_property_lm_oracle_agreement(seed, s2):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), s2y=st.floats(0.05, 5.0), s2e=st.floats(0.01, 5.0))
 def test_property_simple_ml_dense_marginal(seed, s2y, s2e):
+    """Against the dense n x n marginal; besides the first draw, one case
+    with fewer groups than coefficients (J < d: the low-rank solves) and
+    one with at least as many (J >= d: the dense ones)."""
     r = np.random.default_rng(seed)
     J = int(r.integers(1, 4))
-    n = int(r.integers(J, 8))
-    data = make_dataset(r, max(n, J), 2, 0, J)
-    stats = precompute(data)
-    spec = simple_spec(2)
-    V = s2y * np.eye(data.n)
-    for j in range(1, J + 1):
-        idx = np.flatnonzero(data.group_of == j)
-        V[np.ix_(idx, idx)] += s2e
-    V += data.x @ spec.prior_cov @ data.x.T
-    sign, logdet = np.linalg.slogdet(V)
-    direct = -0.5 * (
-        data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y)
-    )
-    assert abs(log_integrated_simple_ml(stats, spec, s2y, s2e) - direct) < 1e-8
+    cases = [(J, int(r.integers(J, 8)), 2), (2, 8, 5), (5, 9, 3)]
+    for J, n, d in cases:
+        data = make_dataset(r, max(n, J), d, 0, J)
+        stats = precompute(data)
+        spec = simple_spec(d)
+        V = s2y * np.eye(data.n)
+        for j in range(1, J + 1):
+            idx = np.flatnonzero(data.group_of == j)
+            V[np.ix_(idx, idx)] += s2e
+        V += data.x @ spec.prior_cov @ data.x.T
+        sign, logdet = np.linalg.slogdet(V)
+        direct = -0.5 * (
+            data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y)
+        )
+        assert abs(log_integrated_simple_ml(stats, spec, s2y, s2e) - direct) < 1e-8
 
 
 @settings(max_examples=15, deadline=None)
