@@ -9,14 +9,16 @@ that system: the batched integrated likelihood, the conditional
 coefficient posteriors, the AIC profile (with a flat prior), and the
 one-point functions ``log_integrated_*``, which are one-row calls.
 
-The single-level families and SimpleMultilevel work in the prior-whitened
-eigenbasis of X^T X, where the precision is diagonal plus, for
-SimpleMultilevel, a rank-r correction ``-V^T V`` with one row per group
-(r = J).  The kernel keeps that correction low-rank only while r < d, so
-the solves follow from the shapes of the system alone: diagonal rows cost
-O(d); with the low-rank term the matrix determinant lemma and the
-Woodbury identity need only an r x r Cholesky factor per row; otherwise
-(r >= d, or GeneralMultilevel) the d x d precision is factored densely.
+Every kernel works in one whitened eigenbasis of X^T X: whitened by the
+prior covariance, or for a flat prior by the data over the range of X^T X.
+There the single-level precision is diagonal; SimpleMultilevel subtracts
+a rank-r correction ``V^T V`` with one row per group (r = J), and
+GeneralMultilevel a dense sum of per-group corrections.  The kernel keeps
+the SimpleMultilevel correction low-rank only while r < d, so the solves
+follow from the shapes of the system alone: diagonal rows cost O(d); with
+the low-rank term the matrix determinant lemma and the Woodbury identity
+need only an r x r Cholesky factor per row; otherwise the d x d precision
+is factored densely.
 No evaluator runs an LU solve on a triangular factor: residual quadratic
 forms come from a bordered Cholesky factor, other solves from forward
 substitution (:func:`solve_lower`).
@@ -140,26 +142,22 @@ def precompute(data):
 
 
 class CoefPrior(NamedTuple):
-    """Terms of the coefficient prior N(mu, cov): cov^-1, cov^-1 mu, log|cov|,
-    mu^T cov^-1 mu and the lower Cholesky factor of cov (None when flat)."""
+    """Terms of the coefficient prior N(mu, cov): cov^-1, log|cov| and the
+    lower Cholesky factor of cov (None when flat)."""
 
     prec: np.ndarray
-    prec_mu: np.ndarray
     logdet: float
-    quad: float
     chol: np.ndarray | None
 
     @classmethod
     def of(cls, spec):
         L = cholesky(spec.prior_cov, lower=True)
-        prec_mu = cho_solve((L, True), spec.prior_mean)
-        return cls(cho_solve((L, True), np.eye(spec.d)), prec_mu,
-                   2.0 * float(np.sum(np.log(np.diag(L)))), float(spec.prior_mean @ prec_mu), L)
+        return cls(cho_solve((L, True), np.eye(spec.d)), 2.0 * float(np.sum(np.log(np.diag(L)))), L)
 
     @classmethod
     def flat(cls, d):
         """Zero prior precision, for the profile likelihood of the AIC."""
-        return cls(np.zeros((d, d)), np.zeros(d), 0.0, 0.0, None)
+        return cls(np.zeros((d, d)), 0.0, None)
 
 
 class System(NamedTuple):
@@ -169,20 +167,20 @@ class System(NamedTuple):
     ``-0.5 * (n log 2pi + log|A| + logdet + datafit - rhs^T A^-1 rhs)`` and
     the conditional coefficient posterior is ``N(A^-1 rhs, A^-1)``.
 
-    When ``basis`` is set, the system is in the coordinates g of
-    ``beta = basis @ g`` and ``logdet`` carries the change of basis.  ``A``
-    is then either dense, or diagonal and stored as (P, d); a diagonal ``A``
-    may come with a low-rank term ``V`` of shape (P, r, d), r < d, and the
-    precision is ``diag(A) - V^T V``.  Without a basis ``A`` is dense.
+    The system is in the coordinates g of ``beta = basis @ g`` (the
+    :func:`_eigenbasis`, of width d' <= d), and ``logdet`` carries the
+    change of basis.  ``A`` is either dense, or diagonal and stored as
+    (P, d'); a diagonal ``A`` may come with a low-rank term ``V`` of shape
+    (P, r, d'), r < d', and the precision is ``diag(A) - V^T V``.
     """
 
-    A: np.ndarray           # (P, d, d) dense, or (P, d) diagonal in the basis
-    rhs: np.ndarray         # (P, d)
+    A: np.ndarray           # (P, d', d') dense, or (P, d') diagonal
+    rhs: np.ndarray         # (P, d')
     logdet: np.ndarray      # (P,) log-determinant terms besides log|A|
     datafit: np.ndarray     # (P,) quadratic terms besides rhs^T A^-1 rhs
     ok: np.ndarray          # (P,) False where the row has zero density
-    basis: np.ndarray | None
-    V: np.ndarray | None = None   # (P, r, d): precision diag(A) - V^T V
+    basis: np.ndarray       # (d, d')
+    V: np.ndarray | None = None   # (P, r, d'): precision diag(A) - V^T V
 
 
 def _check_family(spec, *allowed):
@@ -205,20 +203,27 @@ def theta_row(theta):
 # ---------------------------------------------------------------------------
 
 def _eigenbasis(stats, spec, prior):
-    """The prior-whitened eigenbasis of X^T X: ``(basis, lam, p, a, b)``.
+    """The whitened eigenbasis of X^T X: ``(basis, lam, p, a, b)``.
 
-    With ``basis = L Q``, where ``L L^T`` is the prior covariance and Q
-    diagonalizes ``L^T X^T X L``, the coordinates g of ``beta = basis @ g``
-    have prior precision ``p I`` (p = 1), ``X^T X = diag(lam)``, prior
-    precision times prior mean ``a`` and ``X^T y = b``.  A flat prior
-    whitens with the identity and has p = 0 and a = 0.
+    The coordinates g of ``beta = basis @ g`` have prior precision ``p I``,
+    ``X^T X = diag(lam)``, prior precision times prior mean ``a`` and
+    ``X^T y = b``.  A proper prior whitens by its covariance ``L L^T``:
+    ``basis = L Q``, where Q diagonalizes ``L^T X^T X L``, and p = 1.  A
+    flat prior whitens by the data: ``basis = Q lam^-1/2`` over the range
+    of X^T X (eigenvalues above 1e-10 times the largest, or times 1), so
+    lam = 1, p = 0 and a = 0.  The null directions of a rank-deficient
+    design drop out; no likelihood depends on them.
     """
-    flat = prior.chol is None
-    L = np.eye(stats.d) if flat else prior.chol
+    if prior.chol is None:
+        lam, Q = np.linalg.eigh(stats.gram_xx)
+        keep = lam > max(lam.max(), 1.0) * 1e-10
+        basis = Q[:, keep] / np.sqrt(lam[keep])
+        r = basis.shape[1]
+        return basis, np.ones(r), 0.0, np.zeros(r), basis.T @ stats.sum_xy
+    L = prior.chol
     lam, Q = np.linalg.eigh(L.T @ stats.gram_xx @ L)
-    lam = np.clip(lam, 0.0, None)
-    a = np.zeros(stats.d) if flat else Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
-    return L @ Q, lam, 0.0 if flat else 1.0, a, Q.T @ (L.T @ stats.sum_xy)
+    a = Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
+    return L @ Q, np.clip(lam, 0.0, None), 1.0, a, Q.T @ (L.T @ stats.sum_xy)
 
 
 def _single_level_kernel(stats, spec, prior):
@@ -226,19 +231,20 @@ def _single_level_kernel(stats, spec, prior):
 
     One eigendecomposition, then O(d) per row.  The conjugate family's
     prior covariance ``gamma * sigma2 * L L^T`` scales the prior terms by
-    ``c = 1 / (gamma * sigma2)``.  Needs a proper prior.
+    ``c = 1 / (gamma * sigma2)``; a flat prior (p = 0) has none.
     """
-    basis, lam, _, a, b = _eigenbasis(stats, spec, prior)
+    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    quad = a @ a    # mu^T cov^-1 mu
 
     def system(nat):
         s2 = nat[:, 0]
         c = np.ones(s2.shape) if spec.gamma is None else 1.0 / (spec.gamma * s2)
         return System(
-            A=c[:, None] + lam[None, :] / s2[:, None],
+            A=p * c[:, None] + lam[None, :] / s2[:, None],
             rhs=c[:, None] * a[None, :] + b[None, :] / s2[:, None],
             # log|L L^T| itself cancels against |det basis|^2.
-            logdet=stats.n * np.log(s2) - stats.d * np.log(c),
-            datafit=c * prior.quad + stats.sum_yy / s2,
+            logdet=stats.n * np.log(s2) - p * lam.size * np.log(c),
+            datafit=c * quad + stats.sum_yy / s2,
             ok=np.ones(s2.shape, dtype=bool),
             basis=basis,
         )
@@ -263,13 +269,15 @@ def _sm_kernel(stats, spec, prior):
     stacked per-group outer products), which the solves factor directly.
     """
     basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    d = lam.size
+    quad = a @ a
     nj = stats.n_per_group.astype(float)
     Yj = stats.group_sum_y
     Xb = stats.group_sum_x @ basis          # (J, d): rows basis^T x_j
     yXb = Yj[:, None] * Xb
     yy = Yj ** 2
-    low_rank = stats.J < stats.d
-    outer = None if low_rank else np.einsum("ja,jb->jab", Xb, Xb).reshape(stats.J, stats.d ** 2)
+    low_rank = stats.J < d
+    outer = None if low_rank else np.einsum("ja,jb->jab", Xb, Xb).reshape(stats.J, d * d)
 
     def system(nat):
         s2y, s2e = nat[:, 0], nat[:, 1]
@@ -278,14 +286,14 @@ def _sm_kernel(stats, spec, prior):
         if low_rank:
             A, V = diag, np.sqrt(w / s2y[:, None])[:, :, None] * Xb[None]
         else:
-            A, V = _diag_minus(diag, ((w / s2y[:, None]) @ outer).reshape(-1, stats.d, stats.d)), None
+            A, V = _diag_minus(diag, ((w / s2y[:, None]) @ outer).reshape(-1, d, d)), None
         return System(
             A=A,
             rhs=p * a[None, :] + (b[None, :] - w @ yXb) / s2y[:, None],
             # log|L L^T| itself cancels against |det basis|^2.
             logdet=stats.n * np.log(s2y)
             + np.sum(np.log1p(nj[None, :] * s2e[:, None] / s2y[:, None]), axis=1),
-            datafit=prior.quad + (stats.sum_yy - w @ yy) / s2y,
+            datafit=quad + (stats.sum_yy - w @ yy) / s2y,
             ok=np.ones(s2y.shape, dtype=bool),
             basis=basis,
             V=V,
@@ -295,25 +303,26 @@ def _sm_kernel(stats, spec, prior):
 
 
 def _gm_kernel(stats, spec, prior):
-    """GeneralMultilevel: per-group m x m blocks integrated out.
+    """GeneralMultilevel: per-group m x m blocks integrated out, in the :func:`_eigenbasis`.
 
     Rows whose group-level covariance fails the positive-definiteness gate
     are computed on a stand-in matrix and masked.
     """
+    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
     layout = spec.layout
-    J, d, m = stats.J, stats.d, layout.group_width
+    J, d, m = stats.J, lam.size, layout.group_width
     Gz = stats.group_gram_zz
     # Each row's bordered matrix [[A, rhs], [rhs^T, datafit]] is
-    # base[0] + base[1] / sigma2_y minus the group corrections: with
-    # R_j = [C_j^T s_j] and T_j = L_j^-1 R_j / sigma2_y, where
-    # M_j = L_j L_j^T, the sum over j of R_j^T M_j^-1 R_j / sigma2_y^2 is
-    # T^T T over the stacked T_j.
+    # base[0] + base[1] / sigma2_y minus the group corrections, where the
+    # A blocks of the base are diagonal: with R_j = [C_j^T basis  s_j] and
+    # T_j = L_j^-1 R_j / sigma2_y, where M_j = L_j L_j^T, the sum over j of
+    # R_j^T M_j^-1 R_j / sigma2_y^2 is T^T T over the stacked T_j.
     R = np.concatenate(
-        [stats.group_cross_xz.transpose(0, 2, 1), stats.group_sum_zy[:, :, None]], axis=2
+        [stats.group_cross_xz.transpose(0, 2, 1) @ basis, stats.group_sum_zy[:, :, None]], axis=2
     )                                                         # (J, m, d+1)
     base = np.stack([
-        _border(prior.prec, prior.prec_mu, prior.quad),
-        _border(stats.gram_xx, stats.sum_xy, stats.sum_yy),
+        _border(p * np.eye(d), a, a @ a),
+        _border(np.diag(lam), b, stats.sum_yy),
     ]).reshape(2, (d + 1) ** 2)
     eye = np.eye(m)
 
@@ -332,10 +341,11 @@ def _gm_kernel(stats, spec, prior):
         return System(
             A=full[:, :d, :d],
             rhs=full[:, :d, d],
-            logdet=prior.logdet + stats.n * np.log(s2y) + J * logdet_eta + sum_logdet_groups,
+            # log|L L^T| itself cancels against |det basis|^2.
+            logdet=stats.n * np.log(s2y) + J * logdet_eta + sum_logdet_groups,
             datafit=full[:, d, d],
             ok=ok,
-            basis=None,
+            basis=basis,
         )
 
     return system
@@ -354,9 +364,8 @@ def posterior_system(stats, spec, prior):
 
     Natural rows are laid out as ``spec.layout`` says; a GeneralMultilevel
     row may carry its correlation even when the spec fixes it.  ``prior``
-    is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC profile
-    of the multilevel families (the single-level kernels whiten by the
-    prior and need a proper one).
+    is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC
+    profile; every family's kernel takes either.
     """
     return _KERNELS[spec.family](stats, spec, prior)
 
@@ -367,14 +376,6 @@ def _diag_minus(diag, corr):
     A = np.negative(corr, out=corr)
     A[:, np.arange(d), np.arange(d)] += diag
     return A
-
-
-def dense_precision(s):
-    """The (P, d, d) precision of every row of a system, in its own coordinates."""
-    if s.A.ndim == 3:
-        return s.A
-    P, d = s.A.shape
-    return _diag_minus(s.A, np.zeros((P, d, d)) if s.V is None else s.V.transpose(0, 2, 1) @ s.V)
 
 
 def solve_lower(L, B):
@@ -437,7 +438,7 @@ def _woodbury(s):
     return np.eye(s.V.shape[1]) - VD @ s.V.transpose(0, 2, 1), VD
 
 
-def _logdet_resid(s):
+def logdet_resid(s):
     """``log|A|`` and ``datafit - rhs^T A^-1 rhs`` of every row of a system."""
     if s.A.ndim == 3:
         return _bordered(s.A, s.rhs, s.datafit)
@@ -466,7 +467,7 @@ def batch_log_integrated(stats, spec):
         s = system(theta)
         if n == 0:
             return np.where(s.ok, 0.0, -np.inf)
-        logdet_a, resid = _logdet_resid(s)
+        logdet_a, resid = logdet_resid(s)
         val = -0.5 * (n * LOG_2PI + logdet_a + s.logdet + resid)
         return np.where(s.ok, val, -np.inf)
 
@@ -622,8 +623,6 @@ def batch_conditional_beta(stats, spec):
             cov = np.linalg.inv(s.A)
             cov = 0.5 * (cov + cov.transpose(0, 2, 1))
             mean = np.einsum("pab,pb->pa", cov, s.rhs)
-            if B is None:
-                return mean, cov
             return mean @ B.T, B[None] @ cov @ B.T
         mean = (s.rhs / s.A) @ B.T
         cov = (B[None] / s.A[:, None, :]) @ B.T

@@ -20,9 +20,9 @@ from mlevidence.likelihood_core import (
     LOG_2PI,
     CoefPrior,
     batch_conditional_beta,
-    dense_precision,
     group_design,
     inverse_from_chol,
+    logdet_resid,
     posterior_system,
     precompute,
     theta_row,
@@ -138,7 +138,7 @@ def mahalanobis(b_true, post):
 
 
 # ---------------------------------------------------------------------------
-# AIC via group-effect marginalization and generalized-least-squares profiling.
+# AIC via group-effect marginalization and profiling of the coefficients and sigma2_y.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -151,48 +151,39 @@ class AICResult:
 
 
 def _profile_loglik_builder(stats, spec):
-    """Max-over-coefficients log likelihood as a function of log-variances.
+    """Log likelihood maximized over the coefficients and sigma2_y, as in lme4's profiled deviance.
 
-    Group effects are integrated out exactly; coefficients are profiled by
-    generalized least squares at each variance point.  Works with
-    rank-deficient designs through least-squares solves.
+    Group effects are integrated out and the coefficients profiled by GLS
+    through the family's kernel with a flat prior, run at sigma2_y = 1 with
+    the group variances relative to sigma2_y.  The marginal covariance
+    scales with sigma2_y, so the maximum is at sigma2_y = Q / n, Q the GLS
+    residual form.  ``profile(u)`` takes the nvar = ``n_params - 1`` other
+    coordinates (log variance ratios, then atanh rho when it is sampled)
+    and returns the maximum and the natural row
+    ``[log sigma2_y, log group variances..., atanh rho]`` where it is reached.
     """
     n = stats.n
     layout = spec.layout
-
-    if not layout.group_width:
-        lam, Q = np.linalg.eigh(stats.gram_xx)
-        proj = Q.T @ stats.sum_xy
-        tol = max(lam.max(), 1.0) * 1e-10
-        keep = lam > tol
-        qfit = float(np.sum(proj[keep] ** 2 / lam[keep]))
-        resid = stats.sum_yy - qfit
-
-        def profile(u):
-            if abs(u[0]) > 46.0:
-                return -np.inf
-            s2 = np.exp(u[0])
-            return -0.5 * (n * (LOG_2PI + u[0]) + resid / s2)
-
-        return profile, 1
-
     system = posterior_system(stats, spec, CoefPrior.flat(stats.d))
-    n_var = len(layout.igs)
+    n_ratios = len(layout.igs) - 1
 
     def profile(u):
-        if np.max(np.abs(u[:n_var])) > 46.0:  # keep exp() finite and well-scaled
-            return -np.inf
+        row = np.concatenate([[0.0], u])
+        if np.any(np.abs(u[:n_ratios]) > 46.0):  # keep exp() finite and well-scaled
+            return -np.inf, row
         try:
-            s = system(variance_block_to_natural(spec, u))
+            s = system(variance_block_to_natural(spec, row))
+            resid = float(logdet_resid(s)[1][0])
         except np.linalg.LinAlgError:
-            return -np.inf
+            return -np.inf, row
         if not s.ok[0]:
-            return -np.inf
-        c = s.rhs[0]
-        fit = float(c @ np.linalg.lstsq(dense_precision(s)[0], c, rcond=None)[0])
-        return -0.5 * (n * LOG_2PI + s.logdet[0] + s.datafit[0] - fit)
+            return -np.inf, row
+        # The same bound on sigma2_y keeps an exact fit (resid = 0) finite.
+        s2 = float(np.clip(resid / n, np.exp(-46.0), np.exp(46.0)))
+        row[:1 + n_ratios] += np.log(s2)
+        return -0.5 * (n * (LOG_2PI + np.log(s2)) + resid / s2 + s.logdet[0]), row
 
-    return profile, layout.n_params
+    return profile, layout.n_params - 1
 
 
 _START_FACTORS = (1.0, 0.3, 3.0, 0.1, 10.0)
@@ -203,8 +194,9 @@ def aic(data, spec, k=None):
 
     k defaults to the design width for the single-level families and the
     design width plus the number of variance-type parameters for the
-    multilevel families.  The variance search is a multi-start
-    Nelder-Mead simplex on log-variance coordinates.
+    multilevel families.  sigma2_y is profiled out in closed form; the
+    multilevel families search the rest with a multi-start Nelder-Mead
+    simplex, the starts scaling the ratios of the prior variance means.
     """
     stats = precompute(data)
     layout = spec.layout
@@ -212,29 +204,28 @@ def aic(data, spec, k=None):
         k = stats.d + (layout.n_params if layout.group_width else 0)
     profile, nvar = _profile_loglik_builder(stats, spec)
 
-    base = np.zeros(nvar)
-    igs = layout.igs
-    for i, ig in enumerate(igs[: nvar]):
-        base[i] = np.log(ig.mean if np.isfinite(ig.mean) else 1.0)
+    log_means = [np.log(ig.mean if np.isfinite(ig.mean) else 1.0) for ig in layout.igs]
+    base = np.zeros(nvar)    # a sampled correlation starts at rho = 0
+    base[:len(log_means) - 1] = np.subtract(log_means[1:], log_means[0])
 
     best_val = -np.inf
     best_u = base
-    converged = False
-    for factor in _START_FACTORS:
-        start = base + np.log(factor) * np.ones(nvar)
-        if nvar > len(igs):
-            start[len(igs):] = 0.0  # correlation coordinate starts at rho = 0
+    converged = nvar == 0
+    for factor in _START_FACTORS if nvar else ():
+        start = base.copy()
+        start[:len(log_means) - 1] += np.log(factor)
         res = minimize(
-            lambda u: -profile(u), start, method="Nelder-Mead",
+            lambda u: -profile(u)[0], start, method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000},
         )
         if -res.fun > best_val:
             best_val = -res.fun
             best_u = res.x
             converged = bool(res.success)
-    theta_hat = {"log_variances": [float(v) for v in best_u]}
+    max_loglik, row = profile(best_u)
+    theta_hat = {"log_variances": [float(v) for v in row]}
     return AICResult(
-        aic=2.0 * k - 2.0 * best_val, k=int(k), max_loglik=float(best_val),
+        aic=2.0 * k - 2.0 * max_loglik, k=int(k), max_loglik=float(max_loglik),
         theta_hat=theta_hat, converged=converged,
     )
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from mlevidence import likelihood_core, posterior_analysis, smc_engine
 
-from conftest import make_dataset, simple_spec
+from conftest import lm_spec, make_dataset, simple_spec
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,6 +42,8 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
         posterior_analysis.aic(data, spec)
         counts = dict(tracer.counts)
         _, low_rank_cloud = smc_engine.run_smc(low_rank, low_rank_spec, "integrated", 50, seed=3)
+        # The single-level profile is closed form: one call, no search.
+        posterior_analysis.aic(data, lm_spec(2))
     finally:
         tracer.uninstall()
     sweeps = smc_engine._SWEEPS_BY_MODE["integrated"]
@@ -52,3 +54,5 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
     assert counts["smc_engine.ess_evals"] > 0
     assert tracer.counts["likelihood_core.integrated_calls"] > counts["likelihood_core.integrated_calls"]
     assert tracer.counts["smc_engine.stages"] == cloud.stage + low_rank_cloud.stage
+    assert (tracer.counts["posterior_analysis.aic_profile_evals"]
+            > counts["posterior_analysis.aic_profile_evals"])

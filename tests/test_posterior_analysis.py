@@ -1,9 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mlevidence.data_model import Dataset
-from mlevidence.likelihood_core import ThetaPoint, precompute
+from mlevidence.likelihood_core import LOG_2PI, ThetaPoint, precompute
 from mlevidence.analytic_evidence import nig_posterior
+from mlevidence.model_spec import assemble_sigma_eta
 from mlevidence.posterior_analysis import (
     AICResult,
     BayesFactor,
@@ -17,6 +21,7 @@ from mlevidence.posterior_analysis import (
     mahalanobis,
     recover_beta_posterior,
 )
+from mlevidence.simulation_study import DATASET_IDS, SimConfig, builtin_model_specs, generate_dataset
 from mlevidence.smc_engine import EvidenceEstimate, run_smc
 
 from conftest import general_spec, lm_spec, make_dataset, nig_spec, simple_spec
@@ -134,6 +139,46 @@ class TestAIC:
         assert isinstance(res, AICResult)
         assert np.isfinite(res.aic)
         assert res.k == 2 + 4
+
+    @pytest.mark.parametrize("which", ["M1", "M2"])
+    def test_study_search_converges_to_the_gls_maximum(self, which):
+        """On the D1 and D2 of ``simulate --seed 2`` the search converges, and
+        its maximum is the dense GLS log likelihood at theta-hat."""
+        rng = np.random.default_rng(2)
+        suite = {w: generate_dataset(w, SimConfig(), rng)[0] for w in DATASET_IDS}
+        data, spec = suite["D" + which[1]], builtin_model_specs(which)
+        res = aic(data, spec)
+        assert res.converged
+        want = _dense_gls_loglik(data, spec, res.theta_hat["log_variances"])
+        assert abs(res.max_loglik - want) < 1e-6
+
+    @pytest.mark.parametrize("make_spec", [lm_spec, simple_spec, partial(general_spec, m=2)],
+                             ids=["lm", "simple", "general"])
+    def test_duplicated_column_keeps_the_maximum(self, rng, make_spec):
+        """A rank-deficient design has the maximum of its column space."""
+        data = make_dataset(rng, 80, 2, 2, 4)
+        wide = Dataset(y=data.y, x=np.column_stack([data.x, data.x[:, :1]]), z=data.z,
+                       group_of=data.group_of)
+        assert abs(aic(wide, make_spec(3)).max_loglik - aic(data, make_spec(2)).max_loglik) < 1e-9
+
+
+def _dense_gls_loglik(data, spec, log_variances):
+    """Log likelihood maximized over the coefficients at fixed variances, from the dense n x n marginal."""
+    layout = spec.layout
+    m = layout.group_width
+    v = np.exp(log_variances[:1 + m])
+    cov = v[0] * np.eye(data.n)
+    if m:
+        if layout.z_effects:
+            rho = np.tanh(log_variances[-1]) if layout.rho_sampled else layout.fixed_rho
+            Z, se = data.z, assemble_sigma_eta(spec.eta_structure, v[1:], rho)
+        else:
+            Z, se = np.ones((data.n, 1)), v[1:, None]
+        cov += (data.group_of[:, None] == data.group_of[None, :]) * (Z @ se @ Z.T)
+    L = np.linalg.cholesky(cov)
+    wx, wy = solve_triangular(L, data.x, lower=True), solve_triangular(L, data.y, lower=True)
+    r = wy - wx @ np.linalg.lstsq(wx, wy, rcond=None)[0]
+    return -0.5 * (data.n * LOG_2PI + 2.0 * np.sum(np.log(np.diag(L))) + r @ r)
 
 
 class TestBayesFactor:
