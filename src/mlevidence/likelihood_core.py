@@ -19,6 +19,14 @@ follow from the shapes of the system alone: diagonal rows cost O(d); with
 the low-rank term the matrix determinant lemma and the Woodbury identity
 need only an r x r Cholesky factor per row; otherwise the d x d precision
 is factored densely.
+
+A dense system is assembled for all rows of a block by one matrix
+product (:func:`_dense_assembly`): per-row weights against a design of
+stacked per-group outer products, built once per kernel.  The
+GeneralMultilevel group blocks take lme4's relative covariance factor
+Lambda = chol(Sigma_eta) (:func:`group_blocks`), so Sigma_eta is never
+inverted, and their m x m blocks are factored and inverted one column at
+a time over all rows and groups at once, with no LAPACK call per block.
 No evaluator runs an LU solve on a triangular factor: residual quadratic
 forms come from a bordered Cholesky factor, other solves from forward
 substitution (:func:`solve_lower`).
@@ -264,39 +272,40 @@ def _sm_kernel(stats, spec, prior):
 
     This is where the form of the solves is chosen, from shapes alone.
     While J < d the system keeps V, so that the solves need only a J x J
-    Woodbury factor per row.  Otherwise the J corrections are summed into a
-    dense d x d precision in the same coordinates (one product against the
-    stacked per-group outer products), which the solves factor directly.
+    Woodbury factor per row.  Otherwise the system is dense: the m = 1
+    case of the GeneralMultilevel assembly (:func:`_dense_assembly`), with
+    group weight ``w_j / sigma2_y`` on the outer product of
+    ``R_j = [basis^T x_j  Y_j]``, Y_j the group's response sum.
     """
-    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    eig = basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
     d = lam.size
     quad = a @ a
     nj = stats.n_per_group.astype(float)
     Yj = stats.group_sum_y
     Xb = stats.group_sum_x @ basis          # (J, d): rows basis^T x_j
-    yXb = Yj[:, None] * Xb
-    yy = Yj ** 2
     low_rank = stats.J < d
-    outer = None if low_rank else np.einsum("ja,jb->jab", Xb, Xb).reshape(stats.J, d * d)
+    if low_rank:
+        yXb = Yj[:, None] * Xb
+        yy = Yj ** 2
+    else:
+        dense = _dense_assembly(stats, eig, np.concatenate([Xb, Yj[:, None]], axis=1)[:, None])
 
     def system(nat):
         s2y, s2e = nat[:, 0], nat[:, 1]
         w = s2e[:, None] / (s2y[:, None] + nj[None, :] * s2e[:, None])
-        diag = p + lam[None, :] / s2y[:, None]
-        if low_rank:
-            A, V = diag, np.sqrt(w / s2y[:, None])[:, :, None] * Xb[None]
-        else:
-            A, V = _diag_minus(diag, ((w / s2y[:, None]) @ outer).reshape(-1, d, d)), None
+        # log|L L^T| itself cancels against |det basis|^2.
+        logdet = stats.n * np.log(s2y) + np.sum(np.log1p(nj * s2e[:, None] / s2y[:, None]), axis=1)
+        ok = np.ones(s2y.shape, dtype=bool)
+        if not low_rank:
+            return dense(s2y, (w / s2y[:, None])[:, None, None, :], logdet, ok)
         return System(
-            A=A,
+            A=p + lam[None, :] / s2y[:, None],
             rhs=p * a[None, :] + (b[None, :] - w @ yXb) / s2y[:, None],
-            # log|L L^T| itself cancels against |det basis|^2.
-            logdet=stats.n * np.log(s2y)
-            + np.sum(np.log1p(nj[None, :] * s2e[:, None] / s2y[:, None]), axis=1),
+            logdet=logdet,
             datafit=quad + (stats.sum_yy - w @ yy) / s2y,
-            ok=np.ones(s2y.shape, dtype=bool),
+            ok=ok,
             basis=basis,
-            V=V,
+            V=np.sqrt(w / s2y[:, None])[:, :, None] * Xb[None],
         )
 
     return system
@@ -305,48 +314,38 @@ def _sm_kernel(stats, spec, prior):
 def _gm_kernel(stats, spec, prior):
     """GeneralMultilevel: per-group m x m blocks integrated out, in the :func:`_eigenbasis`.
 
+    Group j's effects have posterior precision
+    ``M_j = Sigma_eta^-1 + G_j / sigma2_y``, G_j = Z_j^T Z_j.  The kernel
+    never forms Sigma_eta^-1: :func:`group_blocks` works with the relative
+    covariance factor Lambda = chol(Sigma_eta), as lme4 does, and returns
+    ``M_j^-1 = Lambda K_j^-1 Lambda^T`` and
+    ``J log|Sigma_eta| + sum_j log|M_j| = sum_j log|K_j|``.
+
+    Each row's bordered matrix ``[[A, rhs], [rhs^T, datafit]]`` is then one
+    product (:func:`_dense_assembly`), with group weights
+    ``M_j^-1 / sigma2_y^2`` on the outer products of the rows of
+    ``R_j = [C_j^T basis  s_j]``, C_j = X_j^T Z_j and s_j = Z_j^T y_j.
+
     Rows whose group-level covariance fails the positive-definiteness gate
     are computed on a stand-in matrix and masked.
     """
-    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    eig = _eigenbasis(stats, spec, prior)
     layout = spec.layout
-    J, d, m = stats.J, lam.size, layout.group_width
-    Gz = stats.group_gram_zz
-    # Each row's bordered matrix [[A, rhs], [rhs^T, datafit]] is
-    # base[0] + base[1] / sigma2_y minus the group corrections, where the
-    # A blocks of the base are diagonal: with R_j = [C_j^T basis  s_j] and
-    # T_j = L_j^-1 R_j / sigma2_y, where M_j = L_j L_j^T, the sum over j of
-    # R_j^T M_j^-1 R_j / sigma2_y^2 is T^T T over the stacked T_j.
     R = np.concatenate(
-        [stats.group_cross_xz.transpose(0, 2, 1) @ basis, stats.group_sum_zy[:, :, None]], axis=2
+        [stats.group_cross_xz.transpose(0, 2, 1) @ eig[0], stats.group_sum_zy[:, :, None]], axis=2
     )                                                         # (J, m, d+1)
-    base = np.stack([
-        _border(p * np.eye(d), a, a @ a),
-        _border(np.diag(lam), b, stats.sum_yy),
-    ]).reshape(2, (d + 1) ** 2)
-    eye = np.eye(m)
+    dense = _dense_assembly(stats, eig, R)
 
     def system(nat):
         s2y = nat[:, 0]
-        P = s2y.shape[0]
         se, ok = layout.sigma_eta(nat)
-        Le = np.linalg.cholesky(se)
-        logdet_eta = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
-        Mj = inverse_from_chol(Le)[:, None] + Gz[None] / s2y[:, None, None, None]
-        Lj = np.linalg.cholesky(Mj)
-        sum_logdet_groups = 2.0 * np.sum(np.log(np.einsum("pjii->pji", Lj)), axis=(1, 2))
-        T = ((solve_lower(Lj, eye) / s2y[:, None, None, None]) @ R[None]).reshape(P, J * m, d + 1)
-        full = (np.column_stack([np.ones(P), 1.0 / s2y]) @ base).reshape(P, d + 1, d + 1)
-        full -= T.transpose(0, 2, 1) @ T
-        return System(
-            A=full[:, :d, :d],
-            rhs=full[:, :d, d],
-            # log|L L^T| itself cancels against |det basis|^2.
-            logdet=stats.n * np.log(s2y) + J * logdet_eta + sum_logdet_groups,
-            datafit=full[:, d, d],
-            ok=ok,
-            basis=basis,
-        )
+        m_inv, logdet_k = group_blocks(np.linalg.cholesky(se), stats.group_gram_zz, s2y)
+        # Rounding can drive a sweep pivot below zero (exactly it is >= 1) at
+        # variance ratios near 1e16 with a singular Z_j^T Z_j: mask the row.
+        ok = ok & np.isfinite(logdet_k)
+        # log|L L^T| itself cancels against |det basis|^2.
+        logdet = stats.n * np.log(s2y) + logdet_k
+        return dense(s2y, m_inv / (s2y ** 2)[:, None, None, None], logdet, ok)
 
     return system
 
@@ -370,12 +369,97 @@ def posterior_system(stats, spec, prior):
     return _KERNELS[spec.family](stats, spec, prior)
 
 
-def _diag_minus(diag, corr):
-    """``diag(diag) - corr`` for (P, d) diagonals and (P, d, d) corrections, in place of corr."""
-    d = diag.shape[1]
-    A = np.negative(corr, out=corr)
-    A[:, np.arange(d), np.arange(d)] += diag
-    return A
+def group_blocks(chol_eta, Gz, s2y):
+    """Group blocks in lme4's relative-factor form: ``M_j^-1`` and ``sum_j log|K_j|``.
+
+    ``chol_eta`` (P, m, m) is Lambda = chol(Sigma_eta) of each row, ``Gz``
+    (J, m, m) the groups' Z_j^T Z_j and ``s2y`` (P,) the noise variances.
+    With ``K_j = I + Lambda^T G_j Lambda / sigma2_y``, the precision
+    ``M_j = Sigma_eta^-1 + G_j / sigma2_y`` is ``Lambda^-T K_j Lambda^-1``,
+    so ``M_j^-1 = Lambda K_j^-1 Lambda^T`` and
+    ``J log|Sigma_eta| + sum_j log|M_j| = sum_j log|K_j|``: Sigma_eta is
+    never inverted.
+
+    Lambda^T G_j Lambda of all groups is one product of the Kronecker form
+    of Lambda against the (m^2, J) Gram stack, and Lambda K_j^-1 Lambda^T
+    one product of its transpose.  K_j is factored and inverted together
+    by symmetric Gauss-Jordan sweeps, one column per step, each step a few
+    array operations over all P * J blocks at once.  The sweep's pivots are
+    the squared diagonal of the Cholesky factor of K_j, Schur complements
+    of a matrix >= I, so each is >= 1 and needs no guard even where
+    Sigma_eta is nearly singular; log|K_j| is the sum of their logs.
+    Returns ``M_j^-1`` as (P, m, m, J) and the log-determinants as (P,).
+    """
+    P, m = chol_eta.shape[:2]
+    J = Gz.shape[0]
+    kron = np.einsum("pka,plb->pabkl", chol_eta, chol_eta).reshape(P, m * m, m * m)
+    # K_j, entry-major: each K[a, b] is a contiguous (P, J) plane.
+    K = np.empty((m, m, P, J))
+    LGL = (kron @ Gz.reshape(J, m * m).T).transpose(1, 0, 2).reshape(m, m, P, J)
+    np.divide(LGL, s2y[:, None], out=K)
+    K[range(m), range(m)] += 1.0
+    pivots = []
+    # A pivot that rounding drove to zero or below gives a non-finite log-determinant.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            d = K[k, k].copy()
+            col = K[:, k] / d
+            K -= col[:, None] * K[k]
+            K[:, k] = K[k] = col
+            K[k, k] = -1.0 / d
+            pivots.append(d)
+        # The sweeps leave -K_j^-1 in K.
+        m_inv = kron.transpose(0, 2, 1) @ K.reshape(m * m, P, J).transpose(1, 0, 2)
+        return -m_inv.reshape(P, m, m, J), np.sum(np.log(pivots), axis=(0, 2))
+
+
+def _dense_assembly(stats, eig, R):
+    """Dense :class:`System` rows, each bordered matrix ``[[A, rhs], [rhs^T, datafit]]`` a product.
+
+    ``eig`` is the :func:`_eigenbasis` and ``R`` (J, m, k) the groups'
+    stacks, k = d' + 1.  A row's bordered matrix is
+    ``B_0 + B_1 / sigma2_y - sum_j R_j^T W_j R_j``, with the base matrices
+    ``B_0 = [[p I, a], [a^T, a^T a]]`` (prior) and
+    ``B_1 = [[diag(lam), b], [b^T, y^T y]]`` (data) and symmetric m x m
+    group weights W_j.  All of it is one product of the rows' weights
+    ``[1, 1 / sigma2_y, -(W_j)_ab for a >= b]`` with a design built here
+    once: one column per lower-triangle entry of the bordered matrix, one
+    row per weight.  A group's rows hold the lower triangles of
+    ``R_j[a]^T R_j[b] + R_j[b]^T R_j[a]`` (once for a = b); they are built
+    pair by pair, so the largest temporary is (J, k(k+1)/2).
+
+    Returns ``dense(s2y, W, logdet, ok)``, W of shape (P, m, m, J): the
+    product gives each row's lower triangle, which is then mirrored.
+    """
+    basis, lam, p, a, b = eig
+    k = lam.size + 1
+    bases = np.stack([_border(p * np.eye(k - 1), a, a @ a), _border(np.diag(lam), b, stats.sum_yy)])
+    ti, tj = np.tril_indices(k)
+    ga, gb = np.tril_indices(R.shape[1])
+    rows = [bases[:, ti, tj]]
+    for i, j in zip(ga, gb):
+        pair = R[:, i, ti] * R[:, j, tj]
+        if i != j:
+            pair += R[:, j, ti] * R[:, i, tj]
+        rows.append(pair)
+    design = np.concatenate(rows)
+    mirror = np.empty((k, k), dtype=np.intp)
+    mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
+    mirror = mirror.ravel()
+    d = k - 1
+
+    def dense(s2y, W, logdet, ok):
+        P = s2y.shape[0]
+        weights = np.concatenate(
+            [np.ones((P, 1)), 1.0 / s2y[:, None], -W[:, ga, gb].reshape(P, -1)], axis=1
+        )
+        full = np.take(weights @ design, mirror, axis=1).reshape(P, k, k)
+        return System(
+            A=full[:, :d, :d], rhs=full[:, :d, d], logdet=logdet, datafit=full[:, d, d], ok=ok,
+            basis=basis,
+        )
+
+    return dense
 
 
 def solve_lower(L, B):
@@ -390,12 +474,6 @@ def solve_lower(L, B):
             B[..., i, :] - np.einsum("...k,...kc->...c", L[..., i, :i], X[..., :i, :])
         ) / L[..., i, i, None]
     return X
-
-
-def inverse_from_chol(L):
-    """``(L L^T)^-1 = L^-T L^-1`` for a stack of small lower-triangular factors."""
-    L_inv = solve_lower(L, np.eye(L.shape[-1]))
-    return np.einsum("...ka,...kb->...ab", L_inv, L_inv)
 
 
 def _border(M, b, c):

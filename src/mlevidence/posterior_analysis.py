@@ -20,8 +20,8 @@ from mlevidence.likelihood_core import (
     LOG_2PI,
     CoefPrior,
     batch_conditional_beta,
+    group_blocks,
     group_design,
-    inverse_from_chol,
     logdet_resid,
     posterior_system,
     precompute,
@@ -264,7 +264,10 @@ def bayes_factor(est_m, est_n, bands=DEFAULT_BF_BANDS):
 def conditional_eta_means(stats, spec, theta, beta):
     """Conditional means of the group effects given variances and coefficients.
 
-    Returns a (J, group width) array: one column per group-effect component.
+    ``M_j^-1 (Z_j^T y_j - Z_j^T X_j beta) / sigma2_y`` per group, with
+    ``M_j^-1 = Lambda K_j^-1 Lambda^T`` from :func:`group_blocks`, so
+    Sigma_eta is not inverted.  Returns a (J, group width) array: one column
+    per group-effect component.
     """
     layout = spec.layout
     if not layout.group_width:
@@ -274,9 +277,9 @@ def conditional_eta_means(stats, spec, theta, beta):
         raise NotPositiveDefiniteError("group-level covariance is not positive-definite")
     Gz, Szy, Cxz = group_design(stats, layout.z_effects)
     s2y = theta.sigma2_y
-    M = inverse_from_chol(np.linalg.cholesky(se)) + Gz / s2y
-    rhs = (Szy - np.einsum("jam,a->jm", Cxz, beta)) / s2y
-    return np.einsum("jab,jb->ja", inverse_from_chol(np.linalg.cholesky(M)), rhs)
+    m_inv, _ = group_blocks(np.linalg.cholesky(se), Gz, np.array([s2y]))
+    resid = Szy - np.einsum("jam,a->jm", Cxz, beta)
+    return np.einsum("abj,jb->ja", m_inv[0], resid) / s2y
 
 
 def export_fits(post, data, spec, model_id, meta, eta_means=None, eta_covs=None):

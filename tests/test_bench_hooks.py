@@ -11,7 +11,7 @@ import numpy as np
 
 from mlevidence import likelihood_core, posterior_analysis, smc_engine
 
-from conftest import lm_spec, make_dataset, simple_spec
+from conftest import general_spec, lm_spec, make_dataset, simple_spec
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,3 +56,22 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
     assert tracer.counts["smc_engine.stages"] == cloud.stage + low_rank_cloud.stage
     assert (tracer.counts["posterior_analysis.aic_profile_evals"]
             > counts["posterior_analysis.aic_profile_evals"])
+
+
+def test_layer_hooks_count_general_multilevel_rows(rng):
+    """GeneralMultilevel rows reach the likelihood through the wrapped
+    ``batch_log_integrated``: one call for the initial cloud, then one per
+    MH sweep, each of all the particles."""
+    spans = _load_spans()
+    stats = likelihood_core.precompute(make_dataset(rng, 40, 2, 2, 3))
+    spec = general_spec(2, m=2, sampled_rho=True)
+    tracer = spans.Tracer()
+    spans.install_layers(tracer)
+    try:
+        _, cloud = smc_engine.run_smc(stats, spec, "integrated", 50, seed=3)
+    finally:
+        tracer.uninstall()
+    calls = 1 + smc_engine._SWEEPS_BY_MODE["integrated"] * cloud.stage
+    assert tracer.counts["smc_engine.stages"] == cloud.stage
+    assert tracer.counts["likelihood_core.integrated_calls"] == calls
+    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * calls

@@ -16,6 +16,7 @@ from mlevidence.likelihood_core import (
     log_integrated_simple_ml,
     precompute,
 )
+from mlevidence.simulation_study import ETA_PATTERN
 
 from conftest import general_spec, lm_spec, make_dataset, nig_spec, simple_spec
 
@@ -156,6 +157,16 @@ class TestBoundaryReductions:
         spec = general_spec(1, m=3, rho=0.99, pattern=((0, 1), (1, 2)))
         theta = ThetaPoint(sigma2_y=0.8, nu=(np.ones(3), 0.99))
         assert log_integrated_general_ml(stats, spec, theta) == -np.inf
+
+    def test_extreme_variance_ratio_is_never_nan(self):
+        """One row per group makes every Z_j^T Z_j singular; at variances near
+        1e17 times sigma2_y rounding swamps the group blocks, and such a row
+        gets -inf like one that fails the gate, never NaN."""
+        stats = precompute(make_dataset(np.random.default_rng(1), 8, 2, 2, 8))
+        theta = np.array([[1.0, 9.865e-13, 4.620e17, -0.2695], [1.0, 0.4, 0.6, 0.3]])
+        out = batch_log_integrated(stats, general_spec(2, m=2, sampled_rho=True))(theta)
+        assert not np.any(np.isnan(out))
+        assert np.isfinite(out[1])
 
     @pytest.mark.parametrize("d, m, J", [(2, 0, 4), (5, 0, 2), (2, 2, 3)])
     def test_zero_response_is_finite(self, rng, d, m, J):
@@ -390,3 +401,31 @@ def test_property_general_ml_batch_dense_marginal(seed):
         sign, logdet = np.linalg.slogdet(V)
         direct = -0.5 * (data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y))
         assert abs(value - direct) < 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rho=st.floats(-0.65, 0.65))
+def test_property_general_ml_sim_shape_dense_marginal(seed, rho):
+    """sim:M2's group-level shape: m = 4, the tridiagonal ETA_PATTERN and a
+    fixed correlation, against the dense n x n marginal.  The last row takes
+    the correlation within 1.2e-9 of the bound 1/sqrt(2), where the smallest
+    eigenvalue of Sigma_eta is about 1.7e-9 of its scale, so the group
+    factors run through all four columns of a nearly singular Sigma_eta."""
+    r = np.random.default_rng(seed)
+    J = int(r.integers(1, 4))
+    data = make_dataset(r, int(r.integers(J + 1, 12)), 2, 4, J)
+    stats = precompute(data)
+    theta = r.uniform(0.1, 3.0, (5, 5))
+    cases = [(rho, row) for row in theta[:-1]] + [(0.70710678, theta[-1])]
+    for rho_row, row in cases:
+        spec = general_spec(2, m=4, rho=rho_row, pattern=ETA_PATTERN)
+        se = np.diag(row[1:])
+        for i, j in ETA_PATTERN:
+            se[i, j] = se[j, i] = rho_row * np.sqrt(row[1 + i] * row[1 + j])
+        V = row[0] * np.eye(data.n) + data.x @ spec.prior_cov @ data.x.T
+        for g in range(1, J + 1):
+            idx = np.flatnonzero(data.group_of == g)
+            V[np.ix_(idx, idx)] += data.z[idx] @ se @ data.z[idx].T
+        sign, logdet = np.linalg.slogdet(V)
+        direct = -0.5 * (data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y))
+        assert abs(batch_log_integrated(stats, spec)(row[None])[0] - direct) < 1e-8

@@ -161,6 +161,16 @@ class TestAIC:
                        group_of=data.group_of)
         assert abs(aic(wide, make_spec(3)).max_loglik - aic(data, make_spec(2)).max_loglik) < 1e-9
 
+    def test_sampled_rho_boundary_matches_dense_gls(self):
+        """Here the search runs to rho -> 1 (1 - rho below 1e-9); the profile still
+        agrees with the dense GLS value, because the likelihood never inverts
+        the nearly singular group-level covariance."""
+        data = make_dataset(np.random.default_rng(3), 80, 2, 2, 4)
+        spec = general_spec(2, m=2, sampled_rho=True)
+        res = aic(data, spec)
+        want = _dense_gls_loglik(data, spec, res.theta_hat["log_variances"])
+        assert abs(res.max_loglik - want) < 1e-8
+
 
 def _dense_gls_loglik(data, spec, log_variances):
     """Log likelihood maximized over the coefficients at fixed variances, from the dense n x n marginal."""
@@ -220,6 +230,24 @@ class TestConditionalEtaMeans:
             raw = data.y[idx].sum()
             w = 0.5 / (1.0 + idx.sum() * 0.5)
             assert np.isclose(eta[j, 0], w * raw)
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0 - 1e-9])
+    def test_general_matches_dense_conditional_mean(self, rng, rho):
+        """Against Sigma_eta Z_j^T V_j^-1 (y_j - X_j beta), V_j the dense
+        n_j x n_j marginal covariance of group j; also next to the
+        positive-definiteness bound, where Sigma_eta is nearly singular."""
+        data = make_dataset(rng, 40, 2, 2, 4)
+        spec = general_spec(2, m=2, rho=rho)
+        theta = ThetaPoint(sigma2_y=0.7, nu=(np.array([0.4, 0.9]), rho))
+        beta = np.array([0.3, -0.8])
+        eta = conditional_eta_means(precompute(data), spec, theta, beta)
+        se = assemble_sigma_eta(spec.eta_structure, *theta.nu)
+        for j in range(4):
+            idx = np.flatnonzero(data.group_of == j + 1)
+            Zj = data.z[idx]
+            Vj = 0.7 * np.eye(idx.size) + Zj @ se @ Zj.T
+            want = se @ Zj.T @ np.linalg.solve(Vj, data.y[idx] - data.x[idx] @ beta)
+            assert np.linalg.norm(eta[j] - want) < 1e-10 * np.linalg.norm(want)
 
     def test_lm_has_no_group_effects(self, rng):
         data = make_dataset(rng, 20, 2, 0, 2)
