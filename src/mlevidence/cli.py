@@ -60,8 +60,6 @@ try:
 except Exception:  # pragma: no cover - not installed
     _VERSION = "unknown"
 
-DEFAULT_JOBS_ENV = "MLEVIDENCE_JOBS"
-
 # Priors shared by all radon models: unit-normal coefficients and IG(3, 1)
 # on every variance-type parameter.
 _RADON_IG = IGPrior(3.0, 1.0)
@@ -261,9 +259,7 @@ def cmd_evidence(args):
     if spec.family == "LinearModelNIG":
         analytic = nig_log_evidence(stats, spec)
         print(f"analytic log evidence: {analytic:.4f}")
-    est = estimate_evidence(
-        stats, spec, args.mode, args.runs, args.particles, args.seed, jobs=args.jobs
-    )
+    est = estimate_evidence(stats, spec, args.mode, args.runs, args.particles, args.seed)
     payload = _evidence_payload(label, est, args.seed, analytic, deviations)
     elapsed = round(time.perf_counter() - t0, 4)
     config = {
@@ -294,10 +290,7 @@ def cmd_compare(args):
             if problems:
                 raise ValueError("; ".join(problems))
             stats = precompute(data)
-            est = estimate_evidence(
-                stats, spec, args.mode, args.runs, args.particles, args.seed,
-                jobs=args.jobs,
-            )
+            est = estimate_evidence(stats, spec, args.mode, args.runs, args.particles, args.seed)
             a = aic(data, spec)
             entry.update(
                 log_evidence=est.mean, std=est.std, aic=a.aic, k=a.k,
@@ -434,13 +427,6 @@ def cmd_fit_export(args):
     return 0
 
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get(DEFAULT_JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mlevidence",
@@ -460,7 +446,6 @@ def build_parser():
     common.add_argument("--particles", type=int, default=2000)
     common.add_argument("--runs", type=int, default=8)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=_default_jobs())
 
     p = sub.add_parser("evidence", parents=[common], help="estimate log model evidence")
     p.add_argument("--model", required=True, help="builtin id (sim:M0..3, radon:M0..5) or spec YAML")

@@ -168,6 +168,64 @@ class CoefPrior(NamedTuple):
         return cls(np.zeros((d, d)), 0.0, None)
 
 
+class LowRank(NamedTuple):
+    """A rank-r correction ``V`` (P, r, d') kept as per-row scales of shared rows.
+
+    Row i of each V is ``scale[:, i] * rows[i]``, so the per-row data are
+    (P, r).  ``pairs`` holds the products ``rows[i] * rows[j]`` of the
+    lower-triangle pairs i >= j, one column each, so that
+    ``V diag(x) V^T`` of every row is one product of x with ``pairs``,
+    with no (P, r, d') temporary.  ``mirror`` maps the entries of an
+    (r+1) x (r+1) bordered matrix to those columns, then to r border
+    columns and a corner.
+    """
+
+    scale: np.ndarray       # (P, r)
+    rows: np.ndarray        # (r, d')
+    pairs: np.ndarray       # (d', r(r+1)/2)
+    tri: tuple              # (i, j) of each column of ``pairs``
+    mirror: np.ndarray      # ((r+1)^2,)
+
+    @classmethod
+    def of(cls, rows):
+        """The shared part, built once per kernel; ``scaled`` gives a block its V."""
+        r = rows.shape[0]
+        ti, tj = np.tril_indices(r + 1)
+        mirror = np.empty((r + 1, r + 1), dtype=np.intp)
+        mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
+        ti, tj = ti[ti < r], tj[ti < r]
+        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror.ravel())
+
+    def scaled(self, scale):
+        return self._replace(scale=scale)
+
+    def bordered(self, x, y, c):
+        """``[[I - V diag(x) V^T, V (x y)], [(V (x y))^T, c]]`` of every row, (P, r+1, r+1).
+
+        x and y are (P, d'), c is (P,).  With x = 1/A and y = rhs this is
+        K = I - V D^-1 V^T bordered by V D^-1 rhs (see :func:`logdet_resid`).
+        """
+        ti, tj = self.tri
+        v = self.scale
+        P, r = v.shape
+        n = ti.size
+        # Built in place: fresh (P, n) temporaries cost more than the arithmetic.
+        lower = np.empty((P, n + r + 1))
+        K = lower[:, :n]
+        np.matmul(x, self.pairs, out=K)
+        K *= v[:, ti]
+        K *= v[:, tj]
+        np.negative(K, out=K)
+        K[:, ti == tj] += 1.0
+        np.multiply(v, (x * y) @ self.rows.T, out=lower[:, n:n + r])
+        lower[:, n + r] = c
+        return np.take(lower, self.mirror, axis=1).reshape(P, r + 1, r + 1)
+
+    def dense(self):
+        """The full V of shape (P, r, d')."""
+        return self.scale[:, :, None] * self.rows[None]
+
+
 class System(NamedTuple):
     """Posterior-precision system of a block of P variance rows.
 
@@ -178,8 +236,11 @@ class System(NamedTuple):
     The system is in the coordinates g of ``beta = basis @ g`` (the
     :func:`_eigenbasis`, of width d' <= d), and ``logdet`` carries the
     change of basis.  ``A`` is either dense, or diagonal and stored as
-    (P, d'); a diagonal ``A`` may come with a low-rank term ``V`` of shape
-    (P, r, d'), r < d', and the precision is ``diag(A) - V^T V``.
+    (P, d'); a diagonal ``A`` may come with a :class:`LowRank` term ``V``
+    of rank r < d', and the precision is ``diag(A) - V^T V``.  A dense
+    system also carries its rows' bordered matrices
+    ``[[A, rhs], [rhs^T, datafit]]``, of which ``A``, ``rhs`` and
+    ``datafit`` are views.
     """
 
     A: np.ndarray           # (P, d', d') dense, or (P, d') diagonal
@@ -188,7 +249,8 @@ class System(NamedTuple):
     datafit: np.ndarray     # (P,) quadratic terms besides rhs^T A^-1 rhs
     ok: np.ndarray          # (P,) False where the row has zero density
     basis: np.ndarray       # (d, d')
-    V: np.ndarray | None = None   # (P, r, d'): precision diag(A) - V^T V
+    V: LowRank | None = None      # precision diag(A) - V^T V
+    bordered: np.ndarray | None = None   # (P, d'+1, d'+1) when A is dense
 
 
 def _check_family(spec, *allowed):
@@ -257,6 +319,7 @@ def _single_level_kernel(stats, spec, prior):
             basis=basis,
         )
 
+    system.row_entries = lam.size
     return system
 
 
@@ -287,6 +350,7 @@ def _sm_kernel(stats, spec, prior):
     if low_rank:
         yXb = Yj[:, None] * Xb
         yy = Yj ** 2
+        V = LowRank.of(Xb)
     else:
         dense = _dense_assembly(stats, eig, np.concatenate([Xb, Yj[:, None]], axis=1)[:, None])
 
@@ -305,9 +369,10 @@ def _sm_kernel(stats, spec, prior):
             datafit=quad + (stats.sum_yy - w @ yy) / s2y,
             ok=ok,
             basis=basis,
-            V=np.sqrt(w / s2y[:, None])[:, :, None] * Xb[None],
+            V=V.scaled(np.sqrt(w / s2y[:, None])),
         )
 
+    system.row_entries = (stats.J + 1) ** 2 if low_rank else max((d + 1) ** 2, stats.J)
     return system
 
 
@@ -347,6 +412,8 @@ def _gm_kernel(stats, spec, prior):
         logdet = stats.n * np.log(s2y) + logdet_k
         return dense(s2y, m_inv / (s2y ** 2)[:, None, None, None], logdet, ok)
 
+    # The sweeps of group_blocks hold about six (m, m, J) arrays per row at once.
+    system.row_entries = max((eig[1].size + 1) ** 2, 6 * stats.group_gram_zz.size)
     return system
 
 
@@ -364,7 +431,10 @@ def posterior_system(stats, spec, prior):
     Natural rows are laid out as ``spec.layout`` says; a GeneralMultilevel
     row may carry its correlation even when the spec fixes it.  ``prior``
     is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC
-    profile; every family's kernel takes either.
+    profile; every family's kernel takes either.  The function's
+    ``row_entries`` is the size of a row's largest arrays: the bordered
+    matrix of a dense or low-rank system or the group blocks, else the d'
+    diagonal.
     """
     return _KERNELS[spec.family](stats, spec, prior)
 
@@ -456,7 +526,7 @@ def _dense_assembly(stats, eig, R):
         full = np.take(weights @ design, mirror, axis=1).reshape(P, k, k)
         return System(
             A=full[:, :d, :d], rhs=full[:, :d, d], logdet=logdet, datafit=full[:, d, d], ok=ok,
-            basis=basis,
+            basis=basis, bordered=full,
         )
 
     return dense
@@ -487,46 +557,61 @@ def _border(M, b, c):
     return full
 
 
-def _bordered(M, b, c):
-    """``log|M|`` and ``c - b^T M^-1 b`` of every row, M (P, k, k) positive-definite.
+def _bordered(full):
+    """``log|M|`` and ``c - b^T M^-1 b`` of every row of ``full = [[M, b], [b^T, c]]``.
 
-    Both come from one Cholesky factor of ``[[M, b], [b^T, c]]``, whose last
-    diagonal entry is ``sqrt(c - b^T M^-1 b)``.  Where that is not positive
-    for some row the factorization fails, and the block falls back to a
-    factor of M and forward substitution, which gives the row its finite
-    value.
+    ``full`` is (P, k+1, k+1) with M positive-definite.  Both values come
+    from one Cholesky factor of it, whose last diagonal entry is
+    ``sqrt(c - b^T M^-1 b)``.  Where that fails for some row, the block is
+    redone one row at a time, so the other rows keep their values.  A
+    failing row falls back to a factor of M and forward substitution,
+    which gives an exact zero residual (y = 0) its finite value.  Where
+    rounding swamps the row, so that M has no factor either or the
+    residual comes out negative, its residual is +inf: its likelihood is
+    -inf, as for a row outside the support.
     """
-    k = b.shape[1]
+    k = full.shape[1] - 1
     try:
-        diag = np.einsum("pii->pi", np.linalg.cholesky(_border(M, b, c)))
+        diag = np.einsum("pii->pi", np.linalg.cholesky(full))
         return 2.0 * np.sum(np.log(diag[:, :k]), axis=1), diag[:, k] ** 2
     except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(M)
-        t = solve_lower(L, b[:, :, None])[:, :, 0]
-        return 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1), c - np.sum(t * t, axis=1)
-
-
-def _woodbury(s):
-    """``K = I - V D^-1 V^T`` and ``V D^-1`` of a low-rank system, ``D = diag(A)``.
-
-    ``|D - V^T V| = |D| |K|`` (matrix determinant lemma) and
-    ``(D - V^T V)^-1 = D^-1 + (V D^-1)^T K^-1 (V D^-1)`` (Woodbury).
-    """
-    VD = s.V / s.A[:, None, :]
-    return np.eye(s.V.shape[1]) - VD @ s.V.transpose(0, 2, 1), VD
+        pass
+    if full.shape[0] > 1:
+        rows = [_bordered(full[i:i + 1]) for i in range(full.shape[0])]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+    try:
+        L = np.linalg.cholesky(full[:, :k, :k])
+    except np.linalg.LinAlgError:
+        return np.zeros(1), np.full(1, np.inf)
+    t = solve_lower(L, full[:, :k, k:])[:, :, 0]
+    resid = full[:, k, k] - np.sum(t * t, axis=1)
+    logdet = 2.0 * np.sum(np.log(np.einsum("pii->pi", L)), axis=1)
+    return logdet, np.where(resid < 0.0, np.inf, resid)
 
 
 def logdet_resid(s):
-    """``log|A|`` and ``datafit - rhs^T A^-1 rhs`` of every row of a system."""
+    """``log|A|`` and ``datafit - rhs^T A^-1 rhs`` of every row of a system.
+
+    A low-rank row uses ``|D - V^T V| = |D| |K|`` (matrix determinant
+    lemma) and ``(D - V^T V)^-1 = D^-1 + (V D^-1)^T K^-1 (V D^-1)``
+    (Woodbury), ``K = I - V D^-1 V^T`` and ``D = diag(A)``: one bordered
+    r x r factor.
+    """
     if s.A.ndim == 3:
-        return _bordered(s.A, s.rhs, s.datafit)
+        return _bordered(s.bordered)
     logdet = np.sum(np.log(s.A), axis=1)
     resid = s.datafit - np.sum(s.rhs * s.rhs / s.A, axis=1)
     if s.V is None:
         return logdet, resid
-    K, VD = _woodbury(s)
-    logdet_k, resid = _bordered(K, np.einsum("prd,pd->pr", VD, s.rhs), resid)
+    logdet_k, resid = _bordered(s.V.bordered(1.0 / s.A, s.rhs, resid))
     return logdet + logdet_k, resid
+
+
+# Rows per kernel call: a block's largest temporaries stay near 2^17
+# entries (1 MB), so the allocator reuses them instead of returning them to
+# the system and faulting them in again on the next call.  On sim:M1 and
+# sim:M2 rows (d = 46) larger blocks cost up to 1.5x more per row.
+_BLOCK_ENTRIES = 2 ** 17
 
 
 def batch_log_integrated(stats, spec):
@@ -536,18 +621,29 @@ def batch_log_integrated(stats, spec):
     parameters to (P,) log likelihood values, with k = 1 for the
     single-level families, 2 for SimpleMultilevel, and 1 + m (+1 when the
     correlation is sampled) for GeneralMultilevel.  Rows whose group-level
-    covariance is not positive-definite get ``-inf``.
+    covariance is not positive-definite get ``-inf``.  Large inputs are
+    evaluated in equal blocks of at most ``2^17 / row_entries`` rows
+    (see :func:`posterior_system`).
     """
     system = posterior_system(stats, spec, CoefPrior.of(spec))
     n = stats.n
+    most = max(1, _BLOCK_ENTRIES // system.row_entries)
 
-    def loglik(theta):
+    def block_loglik(theta):
         s = system(theta)
         if n == 0:
             return np.where(s.ok, 0.0, -np.inf)
         logdet_a, resid = logdet_resid(s)
         val = -0.5 * (n * LOG_2PI + logdet_a + s.logdet + resid)
         return np.where(s.ok, val, -np.inf)
+
+    def loglik(theta):
+        P = theta.shape[0]
+        if P <= most:
+            return block_loglik(theta)
+        blocks = -(-P // most)   # ceil(P / most) blocks of equal size
+        rows = -(-P // blocks)
+        return np.concatenate([block_loglik(theta[i:i + rows]) for i in range(0, P, rows)])
 
     return loglik
 
@@ -705,7 +801,9 @@ def batch_conditional_beta(stats, spec):
         mean = (s.rhs / s.A) @ B.T
         cov = (B[None] / s.A[:, None, :]) @ B.T
         if s.V is not None:
-            K, VD = _woodbury(s)
+            r = s.V.rows.shape[0]
+            K = s.V.bordered(1.0 / s.A, s.rhs, s.datafit)[:, :r, :r]    # I - V D^-1 V^T
+            VD = s.V.dense() / s.A[:, None, :]
             W = solve_lower(np.linalg.cholesky(K), VD)          # (P, r, d): K^-1 = L^-T L^-1
             WB = W @ B.T
             mean += np.einsum("prd,pr->pd", WB, np.einsum("prd,pd->pr", W, s.rhs))

@@ -14,7 +14,6 @@ atanh, with prior Jacobians included, so proposals never leave the support.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,32 +236,67 @@ def build_target(stats, spec, mode):
 
 
 # ---------------------------------------------------------------------------
-# SMC machinery.
+# SMC machinery.  Every function here works on a batch of independent runs:
+# arrays carry a leading run axis, and each run keeps its own generator.
 # ---------------------------------------------------------------------------
 
 def _ess(logw):
-    """Effective sample size ``(sum w)^2 / sum w^2`` of unnormalized log weights."""
-    w = np.exp(logw - np.max(logw))
-    total = float(np.sum(w))
-    return total * total / float(w @ w)
+    """Effective sample size ``(sum w)^2 / sum w^2`` of each row of unnormalized log weights.
+
+    The one ESS of the sampler: the tempering bisection, the resample
+    decision and the ESS trace all read it, so a step the bisection
+    accepts is never judged below the target when the ESS sits on it.
+    Rows are reduced independently, so a run's value does not depend on
+    the other runs in the batch.
+    """
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    total = w.sum(axis=-1)
+    return total * total / (w * w).sum(axis=-1)
 
 
 def _next_beta(beta, logw, loglik, target_ess):
-    step_full = (1.0 - beta) * loglik
-    if _ess(logw + step_full) >= target_ess:
-        return 1.0
-    lo, hi = beta, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # no float lies strictly between them
-            break
-        if _ess(logw + (mid - beta) * loglik) >= target_ess:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= beta:
-        lo = min(1.0, beta + 1e-6)  # guard against a stalled ladder
-    return lo
+    """Next tempering exponent of each run: the largest step that keeps its ESS at the target.
+
+    ``beta`` (R,), ``logw`` and ``loglik`` (R, N).  Every run is bisected
+    at once, each until no float lies strictly between its ends, at most
+    60 steps: one ESS call per step for all runs, and each run takes the
+    steps of :func:`_bisect` alone.  Once a run's midpoint equals an end,
+    the update leaves its ``lo`` as it is.  A batch of one runs
+    :func:`_bisect` itself: there the per-run bookkeeping made each step
+    about 40% dearer (single 500-particle runs).
+    """
+    if beta.shape[0] == 1:
+        return np.array([_bisect(float(beta[0]), logw[0], loglik[0], target_ess)])
+    start = beta.tolist()
+    with np.errstate(invalid="ignore"):
+        full = _ess(logw + (1.0 - beta)[:, None] * loglik) >= target_ess
+        lo = [1.0 if f else b for f, b in zip(full.tolist(), start)]
+        hi = [1.0] * len(lo)
+        for _ in range(60):
+            mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+            if not any(a < m < b for a, m, b in zip(lo, mid, hi)):
+                break
+            ok = (_ess(logw + (np.array(mid) - beta)[:, None] * loglik) >= target_ess).tolist()
+            lo = [m if o else a for m, o, a in zip(mid, ok, lo)]
+            hi = [b if o else m for m, o, b in zip(mid, ok, hi)]
+    return np.array([a if a > b else min(1.0, b + 1e-6) for a, b in zip(lo, start)])
+
+
+def _bisect(beta, logw, loglik, target_ess):
+    """One run's :func:`_next_beta` on 1-D rows, with no per-run bookkeeping."""
+    with np.errstate(invalid="ignore"):
+        if _ess(logw + (1.0 - beta) * loglik) >= target_ess:
+            return 1.0
+        lo, hi = beta, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # no float lies strictly between them
+                break
+            if _ess(logw + (mid - beta) * loglik) >= target_ess:
+                lo = mid
+            else:
+                hi = mid
+    return lo if lo > beta else min(1.0, beta + 1e-6)  # guard against a stalled ladder
 
 
 def systematic_resample(weights, rng):
@@ -275,15 +309,24 @@ def systematic_resample(weights, rng):
 
 
 def _weighted_cov(U, w):
-    mean = w @ U
-    diff = U - mean[None, :]
-    cov = (diff * w[:, None]).T @ diff
-    return 0.5 * (cov + cov.T)
+    """Weighted covariance of each run's cloud: U (R, N, dim), w (R, N) normalized."""
+    mean = np.einsum("rn,rnd->rd", w, U)
+    diff = U - mean[:, None, :]
+    cov = (diff * w[:, :, None]).transpose(0, 2, 1) @ diff
+    return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
 def _proposal_chol(U, w, dim):
+    """Cholesky factors (R, dim, dim) of each run's random-walk proposal covariance."""
     cov = _weighted_cov(U, w) * (2.38 ** 2 / dim)
-    jitter = 1e-10 * max(1.0, float(np.trace(cov)) / dim)
+    jitter = 1e-10 * np.maximum(1.0, np.trace(cov, axis1=1, axis2=2) / dim)
+    try:
+        return np.linalg.cholesky(cov + jitter[:, None, None] * np.eye(dim))
+    except np.linalg.LinAlgError:
+        return np.stack([_jittered_chol(c, j, dim) for c, j in zip(cov, jitter)])
+
+
+def _jittered_chol(cov, jitter, dim):
     for _ in range(6):
         try:
             return np.linalg.cholesky(cov + jitter * np.eye(dim))
@@ -292,26 +335,39 @@ def _proposal_chol(U, w, dim):
     return np.sqrt(np.clip(np.diag(cov), 1e-12, None))[:, None] * np.eye(dim)
 
 
-def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rng):
-    """Batched random-walk Metropolis; returns updated arrays and acceptance rate."""
-    n_acc = 0
-    n_tot = 0
+def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
+    """Batched random-walk Metropolis over the stacked clouds of R runs.
+
+    U (R * N, dim) holds run r's particles in rows r N .. (r + 1) N - 1,
+    ``beta`` (R,) and ``prop_chol`` (R, dim, dim) are per run, and ``rngs``
+    holds the R generators.  Each sweep draws every run's normals, makes
+    one prior and one likelihood call for all rows, then draws every
+    run's uniforms: each run draws what it draws alone.  Returns the
+    updated arrays, the acceptance rate over all rows and each run's rate.
+    """
+    R = len(rngs)
+    N = U.shape[0] // R
+    beta_rows = np.repeat(beta, N)
+    accepted = np.zeros(R)
     for _ in range(sweeps):
-        prop = U + rng.standard_normal(U.shape) @ prop_chol.T
+        z = np.stack([rng.standard_normal((N, U.shape[1])) for rng in rngs])
+        prop = U + (z @ prop_chol.transpose(0, 2, 1)).reshape(U.shape)
         lp_prop = target.log_prior(prop)
         ll_prop = target.log_lik(prop)
-        cur = logprior + beta * loglik
-        new = lp_prop + beta * ll_prop
+        cur = logprior + beta_rows * loglik
+        new = lp_prop + beta_rows * ll_prop
         with np.errstate(invalid="ignore"):
             log_ratio = new - cur
-        accept = np.log(rng.random(U.shape[0])) < log_ratio
+        u = np.concatenate([rng.random(N) for rng in rngs])
+        accept = np.log(u) < log_ratio
         U = np.where(accept[:, None], prop, U)
         logprior = np.where(accept, lp_prop, logprior)
         loglik = np.where(accept, ll_prop, loglik)
-        n_acc += int(accept.sum())
-        n_tot += accept.shape[0]
-    rate = n_acc / n_tot if n_tot else float("nan")
-    return U, logprior, loglik, rate
+        accepted += accept.reshape(R, N).sum(axis=1)
+    total = sweeps * N
+    run_rates = accepted / total if total else np.full(R, np.nan)
+    rate = float(accepted.sum() / (R * total)) if total else float("nan")
+    return U, logprior, loglik, rate, run_rates
 
 
 def mh_rejuvenate(cloud, target_logdensity, sweeps, rng=None):
@@ -329,22 +385,29 @@ def mh_rejuvenate(cloud, target_logdensity, sweeps, rng=None):
         )
     U = np.array(cloud.particles, dtype=float)
     dim = U.shape[1]
-    prop_chol = _proposal_chol(U, cloud.normalized_weights(), dim)
+    prop_chol = _proposal_chol(U[None], cloud.normalized_weights()[None], dim)
     # The whole density rides in log_prior; a zero log_lik at beta = 1 adds nothing.
     target = _Target(dim, None, target_logdensity, lambda V: np.zeros(V.shape[0]))
-    U, _, _, rate = _mh_sweeps(
-        U, target_logdensity(U), np.zeros(U.shape[0]), 1.0, target, sweeps, prop_chol, rng
+    U, _, _, rate, _ = _mh_sweeps(
+        U, target_logdensity(U), np.zeros(U.shape[0]), np.ones(1), target, sweeps, prop_chol, [rng]
     )
     return replace(cloud, particles=U, accept_rate=rate)
 
 
-def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
-            ess_target_frac=0.5, resample_threshold_frac=0.5, max_stages=1000):
-    """One tempered-SMC run; returns (log_evidence, ParticleCloud).
+def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target_frac=0.5,
+               resample_threshold_frac=0.5, max_stages=1000):
+    """Tempered SMC runs of one target in lockstep; returns one (log evidence, cloud) per seed.
 
-    Particles are initialized from the prior, the tempering exponent is
-    advanced adaptively, and the evidence accumulates the log weighted
-    mean of the incremental weights at every stage.
+    Each run keeps its own exponent, log weights, increments, stage count,
+    proposal factor and generator, and makes its draws in the order it
+    makes them alone: its prior sample, then at each stage a resample
+    uniform (when it resamples) and, per MH sweep, its normals and then
+    its uniforms.  The runs that have not reached beta = 1 share every
+    prior and likelihood call and every bisection step; a run leaves the
+    batch after the stage in which it reaches 1.  The integrated
+    likelihood splits large calls into blocks of bounded memory.  Each
+    value equals the run's value alone up to rounding (kernels round a row
+    slightly differently at other block sizes).
     """
     if n_particles < 50:
         raise ValueError("n_particles must be at least 50")
@@ -353,69 +416,94 @@ def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
     if sweeps is None:
         sweeps = _SWEEPS_BY_MODE[mode]
     target = build_target(stats, spec, mode)
-    rng = np.random.default_rng(int(seed) % 2 ** 64)
-    N = n_particles
+    rngs = [np.random.default_rng(int(seed) % 2 ** 64) for seed in seeds]
+    R, N, dim = len(seeds), n_particles, target.dim
 
-    U = target.sample_prior(rng, N)
-    loglik = target.log_lik(U)
-    logprior = target.log_prior(U)
-    logw = np.zeros(N)
-    beta = 0.0
-    increments = []
-    ess_trace = []
-    stage = 0
-    accept_rate = float("nan")
+    U = np.stack([target.sample_prior(rng, N) for rng in rngs])
+    flat = U.reshape(R * N, dim)
+    loglik = target.log_lik(flat).reshape(R, N)
+    logprior = target.log_prior(flat).reshape(R, N)
+    logw = np.zeros((R, N))
+    beta = np.zeros(R)
+    stage = np.zeros(R, dtype=int)
+    increments = [[] for _ in range(R)]
+    ess_trace = [[] for _ in range(R)]
+    accept_rate = np.full(R, np.nan)
 
-    while beta < 1.0:
-        stage += 1
-        if stage > max_stages:
+    while np.any(beta < 1.0):
+        a = np.flatnonzero(beta < 1.0)
+        stage[a] += 1
+        if np.any(stage[a] > max_stages):
             raise RuntimeError("tempering ladder failed to reach 1")
-        finite = np.isfinite(logw + loglik)
-        if not np.any(finite):
-            raise DegenerateCloudError(stage)
-        new_beta = _next_beta(beta, logw, loglik, ess_target_frac * N)
+        lw, ll = logw[a], loglik[a]
+        finite = np.any(np.isfinite(lw + ll), axis=1)
+        if not np.all(finite):
+            raise DegenerateCloudError(int(stage[a][~finite][0]))
+        b = beta[a]
+        new_beta = _next_beta(b, lw, ll, ess_target_frac * N)
         # Floor the step so the ladder always reaches 1 within max_stages:
         # badly mixing targets would otherwise stall on vanishing increments.
-        min_step = (1.0 - beta) / max(1, max_stages - stage)
-        new_beta = min(1.0, max(new_beta, beta + min_step))
-        delta = new_beta - beta
+        min_step = (1.0 - b) / np.maximum(1, max_stages - stage[a])
+        new_beta = np.minimum(1.0, np.maximum(new_beta, b + min_step))
         with np.errstate(invalid="ignore"):
-            stepped = logw + delta * loglik
-        incr = float(logsumexp(stepped) - logsumexp(logw))
-        increments.append(incr)
-        logw = stepped
-        beta = new_beta
-        if not np.isfinite(logsumexp(logw)):
-            raise DegenerateCloudError(stage)
+            stepped = lw + (new_beta - b)[:, None] * ll
+        norm = logsumexp(stepped, axis=1)
+        for r, incr in zip(a, norm - logsumexp(lw, axis=1)):
+            increments[r].append(float(incr))
+        beta[a] = new_beta
+        if not np.all(np.isfinite(norm)):
+            raise DegenerateCloudError(int(stage[a][~np.isfinite(norm)][0]))
 
-        w = np.exp(logw - logsumexp(logw))
-        w = w / w.sum()
-        if _ess(logw) < resample_threshold_frac * N:
-            idx = systematic_resample(w, rng)
-            U = U[idx]
-            loglik = loglik[idx]
-            logprior = logprior[idx]
-            logw = np.zeros(N)
-            w = np.full(N, 1.0 / N)
-        ess_trace.append(_ess(logw))
+        w = np.exp(stepped - norm[:, None])
+        w = w / w.sum(axis=1, keepdims=True)
+        ess = _ess(stepped)
+        for i in np.flatnonzero(ess < resample_threshold_frac * N):
+            r = a[i]
+            idx = systematic_resample(w[i], rngs[r])
+            U[r], loglik[r], logprior[r] = U[r][idx], loglik[r][idx], logprior[r][idx]
+            stepped[i] = 0.0
+            w[i] = 1.0 / N
+            ess[i] = N   # the ESS of equal weights
+        logw[a] = stepped
+        for r, e in zip(a, ess):
+            ess_trace[r].append(float(e))
         if sweeps > 0:
-            prop_chol = _proposal_chol(U, w, target.dim)
-            U, logprior, loglik, accept_rate = _mh_sweeps(
-                U, logprior, loglik, beta, target, sweeps, prop_chol, rng
+            prop_chol = _proposal_chol(U[a], w, dim)
+            Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
+                U[a].reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
+                sweeps, prop_chol, [rngs[r] for r in a],
             )
+            U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
 
-    log_weights = logw - logsumexp(logw)
-    cloud = ParticleCloud(
-        particles=U,
-        log_weights=log_weights,
-        beta_temper=1.0,
-        log_z_increments=increments,
-        rng_seed=int(seed),
-        stage=stage,
-        accept_rate=accept_rate,
-        ess_trace=tuple(ess_trace),
-    )
-    return float(np.sum(increments)), cloud
+    results = []
+    for r, seed in enumerate(seeds):
+        cloud = ParticleCloud(
+            particles=U[r],
+            log_weights=logw[r] - logsumexp(logw[r]),
+            beta_temper=1.0,
+            log_z_increments=increments[r],
+            rng_seed=int(seed),
+            stage=int(stage[r]),
+            accept_rate=float(accept_rate[r]),
+            ess_trace=tuple(ess_trace[r]),
+        )
+        results.append((float(np.sum(increments[r])), cloud))
+    return results
+
+
+def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
+            ess_target_frac=0.5, resample_threshold_frac=0.5, max_stages=1000):
+    """One tempered-SMC run; returns (log_evidence, ParticleCloud).
+
+    Particles are initialized from the prior, the tempering exponent is
+    advanced adaptively, and the evidence accumulates the log weighted
+    mean of the incremental weights at every stage.  This is the one-run
+    case of the batch that :func:`estimate_evidence` runs.
+    """
+    return _run_batch(
+        stats, spec, mode, n_particles, [seed], sweeps=sweeps, ess_target_frac=ess_target_frac,
+        resample_threshold_frac=resample_threshold_frac, max_stages=max_stages,
+    )[0]
 
 
 def derive_run_seed(master_seed, run_index):
@@ -425,22 +513,19 @@ def derive_run_seed(master_seed, run_index):
 
 def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *,
                       sweeps=None, jobs=1):
-    """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate."""
+    """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate.
+
+    The runs advance in lockstep as one batch (see :func:`run_smc`): one
+    likelihood call per MH sweep for all of them.  Run k equals
+    ``run_smc`` with seed ``derive_run_seed(master_seed, k)`` up to
+    rounding.  ``jobs`` is accepted for compatibility; every value runs
+    the same single batch, so results never depend on it.
+    """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     seeds = [derive_run_seed(master_seed, k) for k in range(n_runs)]
-
-    def one(seed):
-        logz, cloud = run_smc(stats, spec, mode, n_particles, seed, sweeps=sweeps)
-        return logz, cloud.stage
-
-    if jobs > 1 and n_runs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
-    runs = [r[0] for r in results]
-    stages = [r[1] for r in results]
+    results = _run_batch(stats, spec, mode, n_particles, seeds, sweeps=sweeps)
     return EvidenceEstimate.from_runs(
-        runs, draws_per_stage=n_particles, likelihood_mode=mode, stage_counts=stages
+        [logz for logz, _ in results], draws_per_stage=n_particles, likelihood_mode=mode,
+        stage_counts=[cloud.stage for _, cloud in results],
     )

@@ -75,3 +75,23 @@ def test_layer_hooks_count_general_multilevel_rows(rng):
     assert tracer.counts["smc_engine.stages"] == cloud.stage
     assert tracer.counts["likelihood_core.integrated_calls"] == calls
     assert tracer.counts["likelihood_core.integrated_rows"] == 50 * calls
+
+
+def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
+    """The runs of an evidence estimate share every likelihood call: one for
+    the initial clouds, then one per MH sweep while any run is left."""
+    spans = _load_spans()
+    stats = likelihood_core.precompute(make_dataset(rng, 60, 2, 0, 3))
+    spec = simple_spec(2)
+    tracer = spans.Tracer()
+    spans.install_layers(tracer)
+    try:
+        est = smc_engine.estimate_evidence(stats, spec, "integrated", 3, 50, 11)
+    finally:
+        tracer.uninstall()
+    sweeps = smc_engine._SWEEPS_BY_MODE["integrated"]
+    stages = est.stage_counts
+    assert tracer.counts["smc_engine.mh_proposals"] == sweeps * 50 * sum(stages)
+    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + sweeps * max(stages)
+    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (3 + sweeps * sum(stages))
+    assert tracer.counts["smc_engine.runs"] == 0   # the span counts run_smc calls only

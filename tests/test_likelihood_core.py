@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlevidence.data_model import Dataset
+from mlevidence import likelihood_core
 from mlevidence.likelihood_core import (
     ThetaPoint,
     batch_conditional_beta,
@@ -167,6 +168,48 @@ class TestBoundaryReductions:
         out = batch_log_integrated(stats, general_spec(2, m=2, sampled_rho=True))(theta)
         assert not np.any(np.isnan(out))
         assert np.isfinite(out[1])
+
+    def test_swamped_row_is_minus_inf_and_spares_its_block(self):
+        """A row whose bordered factor fails and whose fallback residual is
+        negative (rounding swamps it at variance ratios near 1e27) gets -inf,
+        and the other rows of its block keep their one-row values; before,
+        such a row raised alone and returned +2.4e13 in this block."""
+        stats = precompute(make_dataset(np.random.default_rng(1), 8, 2, 2, 8))
+        loglik = batch_log_integrated(stats, general_spec(2, m=2))
+        rows = np.exp(np.random.default_rng(0).uniform(-46, 46, (300, 3)))
+        swamped = rows[5]
+        assert np.allclose(np.log(swamped), [-29.8397, 33.4125, 3.8144], atol=1e-4)
+        benign = np.array([1.0, 0.5, 0.5])
+        out = loglik(np.array([swamped, benign]))
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(loglik(benign[None])[0], rel=1e-12, abs=0.0)
+        values = np.concatenate([loglik(row[None]) for row in rows])   # none raises
+        assert not np.any(np.isnan(values))
+        assert np.all(values[np.isfinite(values)] < 0.0)
+
+    @pytest.mark.parametrize("make_spec, shape", [
+        (lambda: lm_spec(3), (30, 3, 0, 4)),
+        (lambda: simple_spec(5), (40, 5, 0, 2)),
+        (lambda: simple_spec(2), (40, 2, 0, 4)),
+        (lambda: general_spec(3, m=2, sampled_rho=True), (40, 3, 2, 4)),
+    ])
+    def test_blocked_rows_match_one_block(self, monkeypatch, make_spec, shape):
+        """Large inputs reach the kernel in blocks; each row's value is the
+        one it gets in a single block, to rounding, -inf rows included."""
+        stats = precompute(make_dataset(np.random.default_rng(2), *shape))
+        spec = make_spec()
+        k = spec.layout.n_params
+        theta = np.exp(np.random.default_rng(3).normal(size=(11, k)))
+        if spec.layout.rho_sampled:
+            theta[:, -1] = np.tanh(np.log(theta[:, -1]))
+            theta[5, -1] = 1.0   # fails the positive-definiteness gate: -inf
+        whole = batch_log_integrated(stats, spec)(theta)
+        monkeypatch.setattr(likelihood_core, "_BLOCK_ENTRIES", 1)   # one row per block
+        split = batch_log_integrated(stats, spec)(theta)
+        fin = np.isfinite(whole)
+        assert np.array_equal(np.isfinite(split), fin)
+        assert fin.sum() == 11 - spec.layout.rho_sampled
+        assert np.allclose(split[fin], whole[fin], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d, m, J", [(2, 0, 4), (5, 0, 2), (2, 2, 3)])
     def test_zero_response_is_finite(self, rng, d, m, J):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlevidence.data_model import Dataset
 from mlevidence.likelihood_core import precompute
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence.smc_engine import (
     EvidenceEstimate,
+    _ess,
+    _next_beta,
     build_target,
     derive_run_seed,
     estimate_evidence,
@@ -221,3 +224,61 @@ class TestSamplingScale:
         nat = variance_block_to_natural(spec, cloud.particles)[:, 0]
         # IG(3, 0.4): mean 0.2
         assert abs(nat.mean() - 0.2) < 0.02
+
+
+_PARITY_CASES = {
+    "lm": (lambda: lm_spec(2), (40, 2, 0, 3), "integrated"),
+    "nig": (lambda: nig_spec(2), (40, 2, 0, 3), "integrated"),
+    "simple_low_rank": (lambda: simple_spec(5), (60, 5, 0, 2), "integrated"),
+    "simple_dense": (lambda: simple_spec(2), (60, 2, 0, 4), "integrated"),
+    "general_sampled_rho": (lambda: general_spec(2, m=2, sampled_rho=True), (40, 2, 2, 3), "integrated"),
+    "simple_full": (lambda: simple_spec(2), (40, 2, 0, 3), "full"),
+    "general_full": (lambda: general_spec(2, m=2), (30, 2, 2, 3), "full"),
+}
+
+
+class TestRunBatch:
+    """``estimate_evidence`` advances its runs as one batch; each run is the
+    run ``run_smc`` makes alone with the derived seed."""
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_batched_runs_match_standalone_runs(self, case):
+        make_spec, shape, mode = _PARITY_CASES[case]
+        stats = precompute(make_dataset(np.random.default_rng(5), *shape))
+        spec = make_spec()
+        est = estimate_evidence(stats, spec, mode, 4, 50, 17)
+        for k in range(4):
+            logz, cloud = run_smc(stats, spec, mode, 50, derive_run_seed(17, k))
+            assert abs(est.runs[k] - logz) < 1e-9
+            assert est.stage_counts[k] == cloud.stage
+
+    def test_runs_with_different_ladders_share_the_batch(self):
+        """Runs leave the batch at different stages, and the ones left keep
+        their own ladders."""
+        stats = precompute(make_dataset(np.random.default_rng(5), 60, 2, 0, 4))
+        spec = simple_spec(2)
+        est = estimate_evidence(stats, spec, "integrated", 6, 50, 3)
+        assert len(set(est.stage_counts)) > 1
+        for k in range(6):
+            logz, cloud = run_smc(stats, spec, "integrated", 50, derive_run_seed(3, k))
+            assert abs(est.runs[k] - logz) < 1e-9
+            assert est.stage_counts[k] == cloud.stage
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6), n=st.integers(2, 80),
+       scale=st.floats(0.01, 1e3), frac=st.floats(0.05, 0.95))
+def test_property_next_beta_keeps_every_run_at_the_target(seed, runs, n, scale, frac):
+    """The batched bisection never steps a run below the target ESS, under
+    the ``_ess`` that the resample decision reads, and each run takes the
+    step it takes alone."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.0, 0.9, runs)
+    logw = rng.normal(scale=0.1, size=(runs, n))
+    loglik = scale * rng.normal(size=(runs, n))
+    target = frac * n
+    new = _next_beta(beta, logw, loglik, target)
+    assert np.all((new > beta) & (new <= 1.0))
+    assert np.all(_ess(logw + (new - beta)[:, None] * loglik) >= target)
+    for r in range(runs):
+        assert _next_beta(beta[r:r + 1], logw[r:r + 1], loglik[r:r + 1], target)[0] == new[r]
