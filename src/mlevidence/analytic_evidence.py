@@ -5,19 +5,18 @@ else is validated against low-dimensional numerical integration of the full
 likelihood times the priors.  The quadrature routine works in log space
 with a max-shift, places tensor-product Gauss-Legendre nodes after a
 mode/curvature scan, and refines the order until the change falls below
-the error target.
+the error target.  The closed forms need only NumPy; the oracle, being the
+independent reference, imports SciPy when it runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
-from mlevidence.likelihood_core import LOG_2PI
+from mlevidence.likelihood_core import LOG_2PI, chol_inverse
 from mlevidence.model_spec import assemble_sigma_eta
 
 
@@ -45,6 +44,27 @@ def _effective_prior_cov(spec):
     return spec.gamma * spec.prior_cov
 
 
+def _nig_update(stats, spec):
+    """The conjugate update of :func:`nig_posterior`, with log|prior cov| and log|Ln|."""
+    if spec.family != "LinearModelNIG":
+        raise ValueError("the conjugate update requires the LinearModelNIG family")
+    _, Li, logdet_prior = chol_inverse(_effective_prior_cov(spec))
+    prec = Li.T @ Li
+    _, LAi, logdet_post = chol_inverse(prec + stats.gram_xx)
+    cov_factor = LAi.T @ LAi
+    cov_factor = 0.5 * (cov_factor + cov_factor.T)
+    prec_mu = prec @ spec.prior_mean
+    rhs = prec_mu + stats.sum_xy
+    mean = LAi.T @ (LAi @ rhs)
+    b_post = spec.ig_y.scale + 0.5 * (
+        stats.sum_yy + float(spec.prior_mean @ prec_mu) - float(rhs @ mean)
+    )
+    post = NIGPosterior(
+        shape=stats.n / 2.0 + spec.ig_y.shape, scale=float(b_post), mean=mean, cov_factor=cov_factor
+    )
+    return post, logdet_prior, logdet_post
+
+
 def nig_posterior(stats, spec):
     """Exact posterior update for the conjugate family.
 
@@ -52,44 +72,17 @@ def nig_posterior(stats, spec):
     Ln = L0 + X^T X, mun = Ln^-1 (L0 mu0 + X^T y) and
     bn = b + (y^T y + mu0^T L0 mu0 - mun^T Ln mun) / 2.
     """
-    if spec.family != "LinearModelNIG":
-        raise ValueError("nig_posterior requires the LinearModelNIG family")
-    cov = _effective_prior_cov(spec)
-    c, lower = cho_factor(cov, lower=True)
-    prec = cho_solve((c, lower), np.eye(spec.d))
-    A = prec + stats.gram_xx
-    cA, lowA = cho_factor(A, lower=True)
-    cov_factor = cho_solve((cA, lowA), np.eye(spec.d))
-    cov_factor = 0.5 * (cov_factor + cov_factor.T)
-    prec_mu = prec @ spec.prior_mean
-    rhs = prec_mu + stats.sum_xy
-    mean = cho_solve((cA, lowA), rhs)
-    a, b = spec.ig_y.shape, spec.ig_y.scale
-    b_post = b + 0.5 * (
-        stats.sum_yy + float(spec.prior_mean @ prec_mu) - float(rhs @ mean)
-    )
-    return NIGPosterior(
-        shape=stats.n / 2.0 + a, scale=float(b_post), mean=mean, cov_factor=cov_factor
-    )
+    return _nig_update(stats, spec)[0]
 
 
 def nig_log_evidence(stats, spec):
     """Closed-form log model evidence for the conjugate linear model."""
-    if spec.family != "LinearModelNIG":
-        raise ValueError("nig_log_evidence requires the LinearModelNIG family")
-    cov = _effective_prior_cov(spec)
-    c, lower = cho_factor(cov, lower=True)
-    logdet_prior = 2.0 * float(np.sum(np.log(np.diag(c))))
-    prec = cho_solve((c, lower), np.eye(spec.d))
-    A = prec + stats.gram_xx
-    cA, _ = cho_factor(A, lower=True)
-    logdet_post = 2.0 * float(np.sum(np.log(np.diag(cA))))
-    post = nig_posterior(stats, spec)
+    post, logdet_prior, logdet_post = _nig_update(stats, spec)
     a, b = spec.ig_y.shape, spec.ig_y.scale
     return -0.5 * (
         logdet_post + logdet_prior + stats.n * LOG_2PI
         - 2.0 * a * np.log(b) + (2.0 * a + stats.n) * np.log(post.scale)
-        - 2.0 * gammaln(stats.n / 2.0 + a) + 2.0 * gammaln(a)
+        - 2.0 * math.lgamma(stats.n / 2.0 + a) + 2.0 * math.lgamma(a)
     )
 
 
@@ -151,6 +144,8 @@ def quadrature_log_integrated(data, spec, theta, *, target=1e-8, max_order=160):
     row-wise full likelihood times the Gaussian priors, at the fixed
     variance point ``theta``.  Total latent dimension must be at most 3.
     """
+    from scipy.linalg import cholesky, solve_triangular
+
     d, J, meff = _latent_layout(data, spec)
     k = d + J * meff
     if k > 3:
@@ -191,6 +186,8 @@ def quadrature_log_integrated(data, spec, theta, *, target=1e-8, max_order=160):
 
 def _adaptive_log_integral(log_joint, k, *, target, max_order, start=None):
     """Mode/curvature scan, then Gauss-Legendre refinement until stable."""
+    from scipy.optimize import minimize
+
     x0 = np.zeros(k) if start is None else np.asarray(start, dtype=float)
     res = minimize(lambda p: -log_joint(p[None, :])[0], x0, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
@@ -248,6 +245,9 @@ def quadrature_evidence(data, spec, *, fixed_theta=None, target=1e-8, max_order=
     conditions on a variance point instead, reducing to the integrated
     likelihood.  Returns ``(log_value, achieved_error)``.
     """
+    from scipy.linalg import cholesky, solve_triangular
+    from scipy.special import gammaln
+
     if fixed_theta is not None:
         return quadrature_log_integrated(
             data, spec, fixed_theta, target=target, max_order=max_order

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from mlevidence.model_spec import Z_EFFECTS, assemble_sigma_eta
 
@@ -109,41 +108,43 @@ class ThetaPoint:
             object.__setattr__(self, "nu", (variances, float(rho)))
 
 
+def _canonical_order(data):
+    """Row order sorted by (group, y, x, z): a function of the set of rows alone.
+
+    Each row is one record of float fields, compared field by field, so a
+    comparison stops at the first field that differs.  This is the order of
+    ``np.lexsort`` over all columns, without its one full sort per column.
+    """
+    keys = np.column_stack([data.group_of, data.y, data.x, data.z])
+    rows = keys.view(np.dtype([(f"f{i}", "f8") for i in range(keys.shape[1])]))
+    return np.argsort(rows.ravel(), kind="stable")
+
+
 def precompute(data):
     """One pass over the data, accumulating all sums in a canonical order.
 
-    Within each group, rows are summed in lexicographic order of their
-    values, so any permutation of the input rows yields bit-identical
-    statistics.
+    The rows are sorted once by (group, y, x, z), so each group is one
+    contiguous segment; every per-group sum is a segmented sum over the
+    sorted rows and the global sums are products of them.  Any permutation
+    of the input rows yields bit-identical statistics.
     """
     n, d, m, J = data.n, data.d, data.m, data.J
-    sum_yy = 0.0
-    sum_xy = np.zeros(d)
-    gram_xx = np.zeros((d, d))
-    group_sum_y = np.zeros(J)
-    group_sum_x = np.zeros((J, d))
-    group_gram_zz = np.zeros((J, m, m))
-    group_sum_zy = np.zeros((J, m))
-    group_cross_xz = np.zeros((J, d, m))
-    for j in range(J):
-        idx = np.flatnonzero(data.group_of == j + 1)
-        key = np.column_stack([data.y[idx, None], data.x[idx], data.z[idx]])
-        order = np.lexsort(key.T[::-1])
-        idx = idx[order]
-        yj, xj, zj = data.y[idx], data.x[idx], data.z[idx]
-        group_sum_y[j] = yj.sum()
-        group_sum_x[j] = xj.sum(axis=0)
-        group_gram_zz[j] = zj.T @ zj
-        group_sum_zy[j] = zj.T @ yj
-        group_cross_xz[j] = xj.T @ zj
-        sum_yy += float(yj @ yj)
-        sum_xy += xj.T @ yj
-        gram_xx += xj.T @ xj
+    order = _canonical_order(data)
+    y, x, z = data.y[order], data.x[order], data.z[order]
+    starts = np.cumsum(data.n_per_group) - data.n_per_group
+
+    def group_sums(a):
+        return np.add.reduceat(a, starts, axis=0)
+
+    group_cross_xz = np.empty((J, d, m))
+    for k in range(m):      # one (n, d) product per z column, not an (n, d, m) one
+        group_cross_xz[:, :, k] = group_sums(x * z[:, k, None])
     return SufficientStats(
         n=n, J=J, d=d, m=m,
-        sum_yy=sum_yy, sum_xy=sum_xy, gram_xx=gram_xx,
-        group_sum_y=group_sum_y, group_sum_x=group_sum_x,
-        group_gram_zz=group_gram_zz, group_sum_zy=group_sum_zy,
+        sum_yy=float(y @ y), sum_xy=x.T @ y, gram_xx=x.T @ x,
+        group_sum_y=group_sums(y), group_sum_x=group_sums(x),
+        group_gram_zz=group_sums((z[:, :, None] * z[:, None, :]).reshape(n, m * m)).reshape(J, m, m),
+        group_sum_zy=group_sums(z * y[:, None]),
         group_cross_xz=group_cross_xz,
         n_per_group=data.n_per_group.astype(np.int64).copy(),
     )
@@ -159,8 +160,8 @@ class CoefPrior(NamedTuple):
 
     @classmethod
     def of(cls, spec):
-        L = cholesky(spec.prior_cov, lower=True)
-        return cls(cho_solve((L, True), np.eye(spec.d)), 2.0 * float(np.sum(np.log(np.diag(L)))), L)
+        L, Linv, logdet = chol_inverse(spec.prior_cov)
+        return cls(Linv.T @ Linv, logdet, L)
 
     @classmethod
     def flat(cls, d):
@@ -292,7 +293,7 @@ def _eigenbasis(stats, spec, prior):
         return basis, np.ones(r), 0.0, np.zeros(r), basis.T @ stats.sum_xy
     L = prior.chol
     lam, Q = np.linalg.eigh(L.T @ stats.gram_xx @ L)
-    a = Q.T @ solve_triangular(L, spec.prior_mean, lower=True)
+    a = Q.T @ solve_lower(L, spec.prior_mean[:, None])[:, 0]
     return L @ Q, np.clip(lam, 0.0, None), 1.0, a, Q.T @ (L.T @ stats.sum_xy)
 
 
@@ -372,7 +373,11 @@ def _sm_kernel(stats, spec, prior):
             V=V.scaled(np.sqrt(w / s2y[:, None])),
         )
 
-    system.row_entries = (stats.J + 1) ** 2 if low_rank else max((d + 1) ** 2, stats.J)
+    # A block size, not a footprint: the low-rank count is set by timing
+    # sim:M1's 16-run batches at several block sizes (200-row blocks beat
+    # 400-row ones), while the dense count stays (d+1)^2 because halving
+    # sim:M2's blocks was slower.
+    system.row_entries = 2 * (stats.J + 1) ** 2 + 2 * d if low_rank else max((d + 1) ** 2, stats.J)
     return system
 
 
@@ -432,9 +437,11 @@ def posterior_system(stats, spec, prior):
     row may carry its correlation even when the spec fixes it.  ``prior``
     is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC
     profile; every family's kernel takes either.  The function's
-    ``row_entries`` is the size of a row's largest arrays: the bordered
-    matrix of a dense or low-rank system or the group blocks, else the d'
-    diagonal.
+    ``row_entries`` sets the block size of :func:`batch_log_integrated`.
+    It is the size of a row's largest array (the bordered matrix of a
+    dense system, the group blocks, or the d' diagonal), except for a
+    low-rank SimpleMultilevel system, whose count ``2 (J+1)^2 + 2 d'`` was
+    chosen by timing block sizes rather than by counting the row's memory.
     """
     return _KERNELS[spec.family](stats, spec, prior)
 
@@ -535,8 +542,10 @@ def _dense_assembly(stats, eig, R):
 def solve_lower(L, B):
     """``L^-1 B`` for lower-triangular ``L`` (..., k, k) and ``B`` (..., k, c), by forward substitution.
 
-    Leading dimensions broadcast.  The loop runs over k, so it suits the
-    small orders used here (group widths and the rank of a correction).
+    Leading dimensions broadcast.  The loop runs over k, one row of X per
+    step: cheap for the batched small orders of the kernels (group widths
+    and the rank of a correction), and for the single d x d factors of the
+    coefficient prior (:func:`chol_inverse`) it costs a few ms at d = 134.
     """
     X = np.empty(np.broadcast_shapes(L.shape[:-2], B.shape[:-2]) + B.shape[-2:])
     for i in range(L.shape[-1]):
@@ -544,6 +553,12 @@ def solve_lower(L, B):
             B[..., i, :] - np.einsum("...k,...kc->...c", L[..., i, :i], X[..., :i, :])
         ) / L[..., i, i, None]
     return X
+
+
+def chol_inverse(M):
+    """``(L, L^-1, log|M|)`` of a positive-definite ``M = L L^T``; raises ``LinAlgError`` otherwise."""
+    L = np.linalg.cholesky(M)
+    return L, solve_lower(L, np.eye(M.shape[-1])), 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def _border(M, b, c):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import yaml
 
 # Group effects of each family: none, one intercept per group (False) or
 # one coefficient per z column (True).
@@ -337,10 +336,14 @@ def from_config(cfg):
 
 
 def save(spec, path):
+    import yaml  # only spec files need it
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(to_config(spec), fh, sort_keys=False)
 
 
 def load(path):
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         return from_config(yaml.safe_load(fh))

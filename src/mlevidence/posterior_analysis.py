@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from mlevidence.likelihood_core import (
     LOG_2PI,
@@ -25,6 +23,7 @@ from mlevidence.likelihood_core import (
     logdet_resid,
     posterior_system,
     precompute,
+    solve_lower,
     theta_row,
 )
 from mlevidence.model_spec import NotPositiveDefiniteError
@@ -124,17 +123,19 @@ def mahalanobis(b_true, post):
     """
     b = np.asarray(b_true, dtype=float)
     if isinstance(post, PosteriorGaussian):
-        diff = b - post.mean
-        c, lower = cho_factor(post.cov, lower=True)
-        return float(np.sqrt(diff @ cho_solve((c, lower), diff)))
+        return float(np.sqrt(_quad_form(b - post.mean, post.cov)))
     total = 0.0
     wsum = 0.0
     for w, mu, cov in post:
-        diff = b - mu
-        c, lower = cho_factor(cov, lower=True)
-        total += w * float(diff @ cho_solve((c, lower), diff))
+        total += w * _quad_form(b - mu, cov)
         wsum += w
     return float(np.sqrt(total / wsum))
+
+
+def _quad_form(diff, cov):
+    """``diff^T cov^-1 diff``; raises ``LinAlgError`` when cov is not positive-definite."""
+    t = solve_lower(np.linalg.cholesky(cov), diff[:, None])
+    return float(np.sum(t * t))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,8 @@ def aic(data, spec, k=None):
     multilevel families search the rest with a multi-start Nelder-Mead
     simplex, the starts scaling the ratios of the prior variance means.
     """
+    from scipy.optimize import minimize  # only the AIC search needs SciPy
+
     stats = precompute(data)
     layout = spec.layout
     if k is None:

@@ -14,15 +14,33 @@ atanh, with prior Jacobians included, so proposals never leave the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
 
 from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
 _SWEEPS_BY_MODE = {"integrated": 10, "full": 25}
+
+
+def _logsumexp(a, axis=-1):
+    """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum.
+
+    The terms equal to the maximum are taken out of the sum (as
+    ``scipy.special.logsumexp`` does), and a row that is all ``-inf``
+    gives ``-inf``, not NaN, so a degenerate cloud stays detectable.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    ties = at_top.sum(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rest = np.where(at_top, 0.0, np.exp(a - top)).sum(axis=axis, keepdims=True)
+    out = np.where(np.isfinite(top), np.log1p(rest / ties) + np.log(ties) + top, top)
+    return np.squeeze(out, axis=axis)[()]
 
 
 class DegenerateCloudError(RuntimeError):
@@ -51,7 +69,7 @@ class ParticleCloud:
         return self.particles.shape[0]
 
     def normalized_weights(self):
-        w = np.exp(self.log_weights - logsumexp(self.log_weights))
+        w = np.exp(self.log_weights - _logsumexp(self.log_weights))
         return w / w.sum()
 
     def ess(self):
@@ -91,11 +109,16 @@ class EvidenceEstimate:
 # ---------------------------------------------------------------------------
 
 def _ig_log_density(v, shape, scale):
-    from scipy.special import gammaln
-    return shape * np.log(scale) - gammaln(shape) - (shape + 1.0) * np.log(v) - scale / v
+    return shape * np.log(scale) - math.lgamma(shape) - (shape + 1.0) * np.log(v) - scale / v
 
 
-_TRUNCNORM_LOGNORM = float(np.log(ndtr(1.0) - ndtr(-1.0)))
+def _ndtr(x):
+    """Standard normal CDF of a scalar."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+_TRUNCNORM_LO, _TRUNCNORM_HI = _ndtr(-1.0), _ndtr(1.0)
+_TRUNCNORM_LOGNORM = math.log(_TRUNCNORM_HI - _TRUNCNORM_LO)
 
 
 def _truncnorm_logpdf(rho):
@@ -108,8 +131,9 @@ def _truncnorm_logpdf(rho):
 
 
 def _sample_truncnorm(rng, size):
-    lo, hi = ndtr(-1.0), ndtr(1.0)
-    return ndtri(lo + rng.random(size) * (hi - lo))
+    p = _TRUNCNORM_LO + rng.random(size) * (_TRUNCNORM_HI - _TRUNCNORM_LO)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(q) for q in p.tolist()])
 
 
 class _Target:
@@ -447,8 +471,8 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
         new_beta = np.minimum(1.0, np.maximum(new_beta, b + min_step))
         with np.errstate(invalid="ignore"):
             stepped = lw + (new_beta - b)[:, None] * ll
-        norm = logsumexp(stepped, axis=1)
-        for r, incr in zip(a, norm - logsumexp(lw, axis=1)):
+        norm = _logsumexp(stepped, axis=1)
+        for r, incr in zip(a, norm - _logsumexp(lw, axis=1)):
             increments[r].append(float(incr))
         beta[a] = new_beta
         if not np.all(np.isfinite(norm)):
@@ -479,7 +503,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
     for r, seed in enumerate(seeds):
         cloud = ParticleCloud(
             particles=U[r],
-            log_weights=logw[r] - logsumexp(logw[r]),
+            log_weights=logw[r] - _logsumexp(logw[r]),
             beta_temper=1.0,
             log_z_increments=increments[r],
             rng_seed=int(seed),

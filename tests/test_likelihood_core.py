@@ -472,3 +472,53 @@ def test_property_general_ml_sim_shape_dense_marginal(seed, rho):
         sign, logdet = np.linalg.slogdet(V)
         direct = -0.5 * (data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y))
         assert abs(batch_log_integrated(stats, spec)(row[None])[0] - direct) < 1e-8
+
+
+class TestPrecomputeSegments:
+    def test_tied_responses_permutation_invariance_bitwise(self, rng):
+        """Repeated y values within a group are ordered by x and z, bit for bit."""
+        data = make_dataset(rng, 60, 3, 2, 4)
+        y = np.round(data.y, 0)          # many ties within each group
+        perm = rng.permutation(60)
+        a = precompute(Dataset(y=y, x=data.x, z=data.z, group_of=data.group_of))
+        b = precompute(Dataset(y=y[perm], x=data.x[perm], z=data.z[perm],
+                               group_of=data.group_of[perm]))
+        for name in ("sum_yy", "sum_xy", "gram_xx", "group_sum_y", "group_sum_x",
+                     "group_gram_zz", "group_sum_zy", "group_cross_xz"):
+            assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name))), name
+
+    def test_canonical_order_is_the_full_key_lexsort(self, rng):
+        """Ties in group and y, a NaN response and repeated rows sort as ``np.lexsort`` does."""
+        data = make_dataset(rng, 80, 3, 2, 5)
+        y = np.round(data.y, 0)
+        y[[3, 40]] = np.nan
+        x = data.x.copy()
+        x[10] = x[11]
+        x[10:12, 0] = np.round(x[10:12, 0], 0)
+        tied = Dataset(y=y, x=x, z=data.z, group_of=data.group_of)
+        keys = np.column_stack([tied.group_of, tied.y, tied.x, tied.z])
+        np.testing.assert_array_equal(
+            keys[likelihood_core._canonical_order(tied)], keys[np.lexsort(keys.T[::-1])]
+        )
+
+    def test_matches_per_group_sums(self, rng):
+        data = make_dataset(rng, 50, 3, 2, 6)
+        s = precompute(data)
+        for j in range(data.J):
+            rows = data.group_of == j + 1
+            yj, xj, zj = data.y[rows], data.x[rows], data.z[rows]
+            np.testing.assert_allclose(s.group_sum_y[j], yj.sum(), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(s.group_sum_x[j], xj.sum(axis=0), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(s.group_gram_zz[j], zj.T @ zj, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(s.group_sum_zy[j], zj.T @ yj, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(s.group_cross_xz[j], xj.T @ zj, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(s.gram_xx, data.x.T @ data.x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(s.sum_xy, data.x.T @ data.y, rtol=1e-13, atol=1e-13)
+        assert abs(s.sum_yy - data.y @ data.y) < 1e-12
+
+    def test_empty_data(self):
+        s = precompute(Dataset(y=np.zeros(0), x=np.zeros((0, 2)), z=np.zeros((0, 1)),
+                               group_of=np.zeros(0, dtype=int)))
+        assert s.J == 0 and s.sum_yy == 0.0
+        assert s.group_cross_xz.shape == (0, 2, 1) and s.group_gram_zz.shape == (0, 1, 1)
+        np.testing.assert_array_equal(s.gram_xx, np.zeros((2, 2)))

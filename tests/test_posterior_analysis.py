@@ -298,3 +298,22 @@ class TestExportFits:
         b = {(r["county"], r["t"]): r["mean"] for r in rows_without}
         assert np.isclose(a[("A", 0)] - b[("A", 0)], 1.0)
         assert np.isclose(a[("B", 1)] - b[("B", 1)], -1.0)
+
+
+class TestMahalanobisNotPositiveDefinite:
+    """A covariance without a Cholesky factor raises LinAlgError in both forms."""
+
+    COV = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3 and -1
+
+    def test_gaussian_form(self):
+        # PosteriorGaussian refuses such a covariance, so build one past its check.
+        post = object.__new__(PosteriorGaussian)
+        for name, value in (("mean", np.zeros(2)), ("cov", self.COV), ("source", "x")):
+            object.__setattr__(post, name, value)
+        with pytest.raises(np.linalg.LinAlgError):
+            mahalanobis(np.ones(2), post)
+
+    def test_trace_form(self):
+        trace = [(0.5, np.zeros(2), np.eye(2)), (0.5, np.zeros(2), self.COV)]
+        with pytest.raises(np.linalg.LinAlgError):
+            mahalanobis(np.ones(2), trace)

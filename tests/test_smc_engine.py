@@ -282,3 +282,59 @@ def test_property_next_beta_keeps_every_run_at_the_target(seed, runs, n, scale, 
     assert np.all(_ess(logw + (new - beta)[:, None] * loglik) >= target)
     for r in range(runs):
         assert _next_beta(beta[r:r + 1], logw[r:r + 1], loglik[r:r + 1], target)[0] == new[r]
+
+
+class TestScipyFreeHelpers:
+    """The sampler's NumPy/stdlib replacements agree with SciPy's functions."""
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        from mlevidence.smc_engine import _logsumexp
+
+        rng = np.random.default_rng(7)
+        a = rng.normal(scale=30.0, size=(20, 50))
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[3, :5] = a[3, 10]          # ties at the maximum
+        np.testing.assert_allclose(_logsumexp(a, axis=1), logsumexp(a, axis=1), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(_logsumexp(a[4]), logsumexp(a[4]), rtol=1e-15, atol=0)
+        assert _logsumexp(2.5) == logsumexp(2.5) == 2.5
+
+    def test_logsumexp_all_neg_inf_row_is_neg_inf(self):
+        from mlevidence.smc_engine import _logsumexp
+
+        a = np.array([[-np.inf] * 4, [0.0, -np.inf, 1.0, 2.0]])
+        with np.errstate(all="raise"):
+            out = _logsumexp(a, axis=1)
+        assert out[0] == -np.inf
+        assert np.isfinite(out[1])
+
+    def test_truncnorm_draws_match_ndtri(self):
+        from scipy.special import ndtr, ndtri
+
+        from mlevidence.smc_engine import _sample_truncnorm
+
+        draws = _sample_truncnorm(np.random.default_rng(3), 5000)
+        assert np.all((draws > -1.0) & (draws < 1.0))
+        lo, hi = ndtr(-1.0), ndtr(1.0)
+        ref = ndtri(lo + np.random.default_rng(3).random(5000) * (hi - lo))
+        np.testing.assert_allclose(draws, ref, rtol=0, atol=1e-12)
+
+    def test_truncnorm_normalizer_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        from mlevidence.smc_engine import _TRUNCNORM_LOGNORM
+
+        assert abs(_TRUNCNORM_LOGNORM - np.log(ndtr(1.0) - ndtr(-1.0))) < 1e-15
+
+    @pytest.mark.parametrize("shape,scale", [(3.0, 0.4), (0.7, 2.0), (25.5, 11.0)])
+    def test_ig_log_density_matches_invgamma(self, shape, scale):
+        from scipy.stats import invgamma
+
+        from mlevidence.smc_engine import _ig_log_density
+
+        v = np.geomspace(1e-3, 1e3, 41)
+        np.testing.assert_allclose(
+            _ig_log_density(v, shape, scale), invgamma.logpdf(v, shape, scale=scale),
+            rtol=1e-12, atol=1e-12,
+        )
