@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mlevidence import model_spec as spec_io
+from mlevidence import __version__, model_spec as spec_io
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence.data_model import (
     RADON_MODEL_IDS,
@@ -52,13 +52,6 @@ from mlevidence.simulation_study import (
     generate_dataset,
 )
 from mlevidence.smc_engine import estimate_evidence, run_smc, variance_block_to_natural
-
-try:
-    from importlib.metadata import version as _dist_version
-
-    _VERSION = _dist_version("mlevidence")
-except Exception:  # pragma: no cover - not installed
-    _VERSION = "unknown"
 
 # Priors shared by all radon models: unit-normal coefficients and IG(3, 1)
 # on every variance-type parameter.
@@ -133,7 +126,7 @@ def _manifest(command, config, seed, run_values, timings, deviations):
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "mlevidence": _VERSION,
+            "mlevidence": __version__,
         },
         "timings_s": timings,
         "deviation_flags": deviations,

@@ -31,6 +31,12 @@ No evaluator runs an LU solve on a triangular factor: residual quadratic
 forms come from a bordered Cholesky factor, other solves from forward
 substitution (:func:`solve_lower`).
 
+The conjugate family's rows cost O(1): each is its sigma2 = 1 row
+rescaled, so :func:`batch_log_integrated` evaluates that row once and
+then only ``n log sigma2`` and ``r0 / sigma2`` per row.  The conditional
+coefficient posteriors stay in the eigenbasis (:class:`Conditional`), so
+that a mixture of them is reduced there before the one basis product.
+
 None of them is a reference for the others.  The references are
 independent of the kernel: the quadrature oracle
 (:func:`mlevidence.analytic_evidence.quadrature_log_integrated`), the
@@ -321,6 +327,10 @@ def _single_level_kernel(stats, spec, prior):
         )
 
     system.row_entries = lam.size
+    # With a proper prior (p = 1) each conjugate row is the sigma2 = 1 row
+    # scaled: A, rhs and the residual by 1 / sigma2, and log|A| + logdet by
+    # n log sigma2, the prior's d' log sigma2 cancelling that of log|A|.
+    system.scaled_rows = spec.gamma is not None and p == 1.0
     return system
 
 
@@ -378,6 +388,7 @@ def _sm_kernel(stats, spec, prior):
     # 400-row ones), while the dense count stays (d+1)^2 because halving
     # sim:M2's blocks was slower.
     system.row_entries = 2 * (stats.J + 1) ** 2 + 2 * d if low_rank else max((d + 1) ** 2, stats.J)
+    system.scaled_rows = False
     return system
 
 
@@ -419,6 +430,7 @@ def _gm_kernel(stats, spec, prior):
 
     # The sweeps of group_blocks hold about six (m, m, J) arrays per row at once.
     system.row_entries = max((eig[1].size + 1) ** 2, 6 * stats.group_gram_zz.size)
+    system.scaled_rows = False
     return system
 
 
@@ -437,11 +449,15 @@ def posterior_system(stats, spec, prior):
     row may carry its correlation even when the spec fixes it.  ``prior``
     is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC
     profile; every family's kernel takes either.  The function's
-    ``row_entries`` sets the block size of :func:`batch_log_integrated`.
+    ``row_entries`` sets the block sizes of :func:`batch_log_integrated`
+    and of the conditional posteriors of a coefficient mixture.
     It is the size of a row's largest array (the bordered matrix of a
     dense system, the group blocks, or the d' diagonal), except for a
     low-rank SimpleMultilevel system, whose count ``2 (J+1)^2 + 2 d'`` was
     chosen by timing block sizes rather than by counting the row's memory.
+    Its ``scaled_rows`` is True when every row is the sigma2 = 1 row
+    rescaled (the conjugate family with a proper prior), so that
+    :func:`batch_log_integrated` needs that one row only.
     """
     return _KERNELS[spec.family](stats, spec, prior)
 
@@ -639,12 +655,24 @@ def batch_log_integrated(stats, spec):
     covariance is not positive-definite get ``-inf``.  Large inputs are
     evaluated in equal blocks of at most ``2^17 / row_entries`` rows
     (see :func:`posterior_system`).
+
+    A kernel with ``scaled_rows`` costs O(1) per row: the log likelihood
+    is ``-0.5 (c0 + n log sigma2 + r0 / sigma2)``, with c0 and r0 the
+    constant and residual of the kernel's own sigma2 = 1 row.
     """
     system = posterior_system(stats, spec, CoefPrior.of(spec))
     n = stats.n
     most = max(1, _BLOCK_ENTRIES // system.row_entries)
+    scaled = system.scaled_rows and n > 0   # no data: the generic rows give exactly 0
+    if scaled:
+        one = system(np.ones((1, 1)))
+        logdet_a, resid = logdet_resid(one)
+        c0, r0 = n * LOG_2PI + logdet_a[0] + one.logdet[0], resid[0]
 
     def block_loglik(theta):
+        if scaled:
+            s2 = theta[:, 0]
+            return -0.5 * (c0 + n * np.log(s2) + r0 / s2)
         s = system(theta)
         if n == 0:
             return np.where(s.ok, 0.0, -np.inf)
@@ -795,36 +823,71 @@ def batch_log_full(stats, spec):
 # Conditional coefficient posteriors.
 # ---------------------------------------------------------------------------
 
-def batch_conditional_beta(stats, spec):
-    """Vectorized :func:`conditional_beta_posterior`.
+class Conditional(NamedTuple):
+    """Conditional coefficient posteriors of P variance rows, in the coordinates g of ``beta = basis @ g``.
 
-    The returned function maps (P, k) natural variance rows to the means
-    (P, d) and covariances (P, d, d) of the conditional coefficient
-    posteriors.  Callers bound P: the covariances are one d x d matrix
-    per row.
+    Row p is ``N(mean[p], C_p)``.  A dense system gives ``C_p = dense[p]``;
+    a diagonal one ``C_p = diag(diag[p])``, plus ``W[p]^T W[p]`` when it has
+    a low-rank term, W the Woodbury factor ``L^-1 V D^-1`` with
+    ``L L^T = I - V D^-1 V^T`` (see :func:`logdet_resid`).
+    """
+
+    mean: np.ndarray                    # (P, d')
+    basis: np.ndarray                   # (d, d')
+    diag: np.ndarray | None = None      # (P, d')
+    W: np.ndarray | None = None         # (P, r, d')
+    dense: np.ndarray | None = None     # (P, d', d')
+
+    def weighted_cov(self, w):
+        """``sum_p w_p C_p`` (d', d') for weights w >= 0, with no per-row d' x d' matrix
+        unless the system is dense."""
+        if self.dense is not None:
+            return np.tensordot(w, self.dense, axes=1)
+        cov = np.diag(w @ self.diag)
+        if self.W is not None:
+            Ws = (np.sqrt(w)[:, None, None] * self.W).reshape(-1, self.W.shape[2])
+            cov += Ws.T @ Ws
+        return cov
+
+    def in_beta(self):
+        """Means (P, d) and covariances ``basis C_p basis^T`` (P, d, d) of the coefficients."""
+        B = self.basis
+        if self.dense is not None:
+            return self.mean @ B.T, B @ self.dense @ B.T
+        cov = (B * self.diag[:, None, :]) @ B.T
+        if self.W is not None:
+            WB = self.W @ B.T
+            cov += WB.transpose(0, 2, 1) @ WB
+        return self.mean @ B.T, cov
+
+
+def batch_conditional_beta(stats, spec):
+    """Vectorized :func:`conditional_beta_posterior`, in the kernel's coordinates.
+
+    The returned function maps (P, k) natural variance rows to a
+    :class:`Conditional`, whose ``in_beta`` gives the coefficients' means
+    and covariances.  Its ``row_entries`` is the kernel's (see
+    :func:`posterior_system`).
     """
     system = posterior_system(stats, spec, CoefPrior.of(spec))
 
     def conditional(theta):
         s = system(theta)
-        B = s.basis
         if s.A.ndim == 3:
             cov = np.linalg.inv(s.A)
             cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-            mean = np.einsum("pab,pb->pa", cov, s.rhs)
-            return mean @ B.T, B[None] @ cov @ B.T
-        mean = (s.rhs / s.A) @ B.T
-        cov = (B[None] / s.A[:, None, :]) @ B.T
-        if s.V is not None:
-            r = s.V.rows.shape[0]
-            K = s.V.bordered(1.0 / s.A, s.rhs, s.datafit)[:, :r, :r]    # I - V D^-1 V^T
-            VD = s.V.dense() / s.A[:, None, :]
-            W = solve_lower(np.linalg.cholesky(K), VD)          # (P, r, d): K^-1 = L^-T L^-1
-            WB = W @ B.T
-            mean += np.einsum("prd,pr->pd", WB, np.einsum("prd,pd->pr", W, s.rhs))
-            cov += WB.transpose(0, 2, 1) @ WB
-        return mean, cov
+            return Conditional(np.einsum("pab,pb->pa", cov, s.rhs), s.basis, dense=cov)
+        diag = 1.0 / s.A
+        mean = s.rhs * diag
+        if s.V is None:
+            return Conditional(mean, s.basis, diag=diag)
+        r = s.V.rows.shape[0]
+        K = s.V.bordered(diag, s.rhs, s.datafit)[:, :r, :r]    # I - V D^-1 V^T
+        W = solve_lower(np.linalg.cholesky(K), s.V.dense() * diag[:, None, :])   # K^-1 = L^-T L^-1
+        mean += np.einsum("prd,pr->pd", W, np.einsum("prd,pd->pr", W, s.rhs))
+        return Conditional(mean, s.basis, diag=diag, W=W)
 
+    conditional.row_entries = system.row_entries
     return conditional
 
 
@@ -837,5 +900,5 @@ def conditional_beta_posterior(stats, spec, theta):
     """
     if theta.nu is not None:
         assemble_sigma_eta(spec.eta_structure, *theta.nu)
-    means, covs = batch_conditional_beta(stats, spec)(theta_row(theta))
+    means, covs = batch_conditional_beta(stats, spec)(theta_row(theta)).in_beta()
     return means[0], covs[0]

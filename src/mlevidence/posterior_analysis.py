@@ -4,8 +4,11 @@ In integrated mode the coefficient posterior is a mixture of the Gaussian
 conditional posteriors over the sampled variance points: the mixture mean
 averages the conditional means and the mixture covariance adds the
 between-point spread of those means to the averaged conditional
-covariances.  The Mahalanobis statistic instead averages the per-point
-quadratic forms, which is kept as a separate code path on purpose.
+covariances.  The mixture is reduced in the likelihood kernel's
+coordinates, where a diagonal or low-rank conditional covariance sums
+without a d x d matrix per point, and the basis is applied once to the
+sum.  The Mahalanobis statistic instead averages the per-point quadratic
+forms, which is kept as a separate code path on purpose.
 """
 
 from __future__ import annotations
@@ -54,46 +57,55 @@ class PosteriorGaussian:
 
 
 def _conditional_blocks(cloud, stats, spec):
-    """(weights, means, covs) of the conditional coefficient posteriors of a cloud.
+    """(weights, :class:`Conditional`) blocks of the conditional coefficient posteriors of a cloud.
 
-    Rows go through the batched conditional in blocks of about 2^18
-    covariance entries, so a large cloud never holds all its d x d
-    matrices at once.
+    Rows go through the batched conditional in blocks of ``2^18 /
+    row_entries`` rows, the kernel's per-row count (see
+    ``posterior_system``): a block then holds about 2^18 entries of
+    per-row arrays, which are d' x d' matrices only for a dense system.
     """
     w = cloud.normalized_weights()
     nat = variance_block_to_natural(spec, cloud.particles)
     conditional = batch_conditional_beta(stats, spec)
-    step = max(1, 2 ** 18 // (stats.d * stats.d))
+    step = max(1, 2 ** 18 // conditional.row_entries)
     for i in range(0, w.shape[0], step):
-        yield (w[i:i + step], *conditional(nat[i:i + step]))
+        yield w[i:i + step], conditional(nat[i:i + step])
 
 
 def beta_posterior_trace(cloud, stats, spec):
     """Weighted conditional posteriors (weight, mean, cov) along the variance trace."""
     return [
         (float(w), mean, cov)
-        for wb, means, covs in _conditional_blocks(cloud, stats, spec)
-        for w, mean, cov in zip(wb, means, covs)
+        for wb, c in _conditional_blocks(cloud, stats, spec)
+        for w, mean, cov in zip(wb, *c.in_beta())
     ]
 
 
 def recover_beta_posterior(cloud, stats, spec, mode):
-    """Gaussian summary of the coefficient posterior from a terminal cloud."""
+    """Gaussian summary of the coefficient posterior from a terminal cloud.
+
+    In integrated mode the mixture is reduced in the kernel's coordinates
+    g (``beta = basis @ g``): the weighted conditional covariances and the
+    spread of the conditional means are summed there, and the basis is
+    applied once to the sum.
+    """
     if not np.isclose(cloud.beta_temper, 1.0):
         raise ValueError("cloud must be at tempering exponent 1")
     if mode == "integrated":
         w = cloud.normalized_weights()
         means = []
-        cov = np.zeros((stats.d, stats.d))
-        for wb, mb, cb in _conditional_blocks(cloud, stats, spec):
-            means.append(mb)
-            cov += np.einsum("p,pab->ab", wb, cb)
+        cov = 0.0
+        for wb, c in _conditional_blocks(cloud, stats, spec):
+            means.append(c.mean)
+            cov += c.weighted_cov(wb)
         means = np.concatenate(means)
         mean = w @ means
         dm = means - mean[None, :]
         cov += (dm * w[:, None]).T @ dm
+        B = c.basis
+        cov = B @ cov @ B.T
         cov = 0.5 * (cov + cov.T)
-        return PosteriorGaussian(mean=mean, cov=cov, source="mixture-over-trace")
+        return PosteriorGaussian(mean=B @ mean, cov=cov, source="mixture-over-trace")
     if mode != "full":
         raise ValueError("mode must be 'integrated' or 'full'")
     beta_draws = cloud.particles[:, :stats.d]

@@ -4,7 +4,8 @@
 PyYAML for spec files).  SciPy's ``linalg``, ``special``, ``optimize`` and
 ``stats`` load only for ``compare``'s AIC search and the quadrature oracle,
 so that a later top-level import cannot quietly bring the one-second SciPy
-start-up back to every command.
+start-up back to every command.  Importing the CLI does not load
+``importlib.metadata`` either: the manifest's version is the package's own.
 """
 
 import json
@@ -23,7 +24,8 @@ SRC = str(Path(mlevidence.__file__).resolve().parents[1])
 HEAVY = {"scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats"}
 
 # Runs ``mlevidence.cli.main(argv)`` (or only imports the CLI, or only
-# ``import_only``) and prints the exit code and the SciPy subpackages loaded.
+# ``import_only``) and prints the exit code and the modules loaded, cut to
+# their first two components.
 _PROBE = """
 import json, sys
 argv, import_only = json.loads(sys.argv[1])
@@ -33,11 +35,11 @@ if import_only:
 else:
     from mlevidence.cli import main
     rc = main(argv) if argv else 0
-print(json.dumps([rc, sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("scipy.")})]))
+print(json.dumps([rc, sorted({".".join(m.split(".")[:2]) for m in sys.modules})]))
 """
 
 
-def scipy_subpackages(argv=(), import_only=None):
+def loaded_modules(argv=(), import_only=None):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -50,8 +52,17 @@ def scipy_subpackages(argv=(), import_only=None):
     return set(loaded)
 
 
+def scipy_subpackages(argv=(), import_only=None):
+    return {m for m in loaded_modules(argv, import_only) if m.startswith("scipy.")}
+
+
 def test_import_cli_loads_no_scipy_subpackage():
     assert not scipy_subpackages() & HEAVY
+
+
+def test_import_cli_loads_no_importlib_metadata():
+    """The manifest's version is ``mlevidence.__version__``, not a distribution lookup."""
+    assert "importlib.metadata" not in loaded_modules()
 
 
 def test_simulate_loads_no_scipy_subpackage(tmp_path):

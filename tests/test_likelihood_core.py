@@ -128,20 +128,31 @@ class TestBoundaryReductions:
         b = log_integrated_simple_ml(stats_s, simple_spec(2), 0.9, 0.5)
         assert abs(a - b) < 1e-10
 
-    def test_nig_conditional_is_lm_with_scaled_cov(self, rng):
+    @pytest.mark.parametrize("sigma2", [1e-6, 0.65, 1e6])
+    def test_nig_conditional_is_lm_with_scaled_cov(self, rng, sigma2):
+        """The conjugate rows, in closed form from the sigma2 = 1 row, against
+        the generic LinearModel evaluator with prior cov gamma * sigma2 * 0.7 I:
+        one row, then a batch row by row."""
         data = make_dataset(rng, 12, 2, 0, 2)
         stats = precompute(data)
         spec_n = nig_spec(2, gamma=3.0)
-        sigma2 = 0.65
         import mlevidence.model_spec as ms
 
-        spec_l = ms.ModelSpec(
-            family="LinearModel", prior_mean=np.zeros(2),
-            prior_cov=3.0 * sigma2 * 0.7 * np.eye(2), ig_y=ms.IGPrior(3.0, 0.4),
-        )
+        def lm_value(s2):
+            spec_l = ms.ModelSpec(
+                family="LinearModel", prior_mean=np.zeros(2),
+                prior_cov=3.0 * s2 * 0.7 * np.eye(2), ig_y=ms.IGPrior(3.0, 0.4),
+            )
+            return log_integrated_lm(stats, spec_l, s2)
+
         a = log_integrated_nig_conditional(stats, spec_n, sigma2)
-        b = log_integrated_lm(stats, spec_l, sigma2)
-        assert abs(a - b) < 1e-10
+        b = lm_value(sigma2)
+        assert abs(a - b) < 1e-10 * max(1.0, abs(b) / 100.0)
+        rows = sigma2 * np.array([1.0, 1e-3, 0.5, 2.0, 1e3])
+        batch = batch_log_integrated(stats, spec_n)(rows[:, None])
+        for value, s2 in zip(batch, rows):
+            ref = lm_value(s2)
+            assert abs(value - ref) < 1e-10 * max(1.0, abs(ref) / 100.0)
 
     def test_empty_dataset_gives_zero(self):
         data = Dataset(
@@ -151,6 +162,8 @@ class TestBoundaryReductions:
         stats = precompute(data)
         assert log_integrated_lm(stats, lm_spec(2), 0.8) == 0.0
         assert log_integrated_simple_ml(stats, simple_spec(2), 0.8, 0.5) == 0.0
+        assert log_integrated_nig_conditional(stats, nig_spec(2), 0.8) == 0.0
+        assert np.all(batch_log_integrated(stats, nig_spec(2))(np.array([[1e-6], [0.8], [1e6]])) == 0.0)
 
     def test_non_pd_eta_cov_is_minus_inf(self, rng):
         data = make_dataset(rng, 10, 1, 3, 2)
@@ -365,7 +378,7 @@ class TestConditionalBetaPosterior:
         stats = precompute(data)
         spec = simple_spec(d)
         theta = np.array([[0.7, 0.3], [1.9, 0.05], [0.2, 2.5]])
-        means, covs = batch_conditional_beta(stats, spec)(theta)
+        means, covs = batch_conditional_beta(stats, spec)(theta).in_beta()
         for (s2y, s2e), mean, cov in zip(theta, means, covs):
             Omega = s2y * np.eye(40) + s2e * (data.group_of[:, None] == data.group_of[None, :])
             Oi = np.linalg.inv(Omega)

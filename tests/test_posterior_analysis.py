@@ -79,6 +79,31 @@ class TestRecoverBetaPosterior:
         with pytest.raises(ValueError):
             recover_beta_posterior(cloud, precompute(data), lm_spec(2), "integrated")
 
+    @pytest.mark.parametrize("case", ["lm", "nig", "simple-low-rank", "simple-dense", "general"])
+    def test_integrated_mixture_equals_trace_mixture(self, rng, case):
+        """The mixture reduced in the kernel's coordinates equals the one built
+        in the coefficients from the trace: sum of w * cov plus the weighted
+        spread of the means, to 1e-12 relative.  SimpleMultilevel runs with
+        J < d (low-rank solves) and J >= d (dense)."""
+        d, m, J, spec = {
+            "lm": (3, 0, 2, lm_spec(3)),
+            "nig": (3, 0, 2, nig_spec(3)),
+            "simple-low-rank": (6, 0, 3, simple_spec(6)),
+            "simple-dense": (2, 0, 5, simple_spec(2)),
+            "general": (2, 2, 4, general_spec(2, m=2)),
+        }[case]
+        stats = precompute(make_dataset(rng, 40, d, m, J))
+        _, cloud = run_smc(stats, spec, "integrated", 64, seed=11)
+        post = recover_beta_posterior(cloud, stats, spec, "integrated")
+        trace = beta_posterior_trace(cloud, stats, spec)
+        w = np.array([t[0] for t in trace])
+        means = np.array([t[1] for t in trace])
+        mean = w @ means
+        dm = means - mean
+        cov = sum(t[0] * t[2] for t in trace) + (dm * w[:, None]).T @ dm
+        assert np.linalg.norm(post.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+        assert np.linalg.norm(post.cov - cov) <= 1e-12 * np.linalg.norm(cov)
+
 
 class TestMahalanobis:
     def test_gaussian_quadratic_form(self):
