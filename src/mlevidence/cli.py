@@ -30,7 +30,7 @@ from mlevidence.data_model import (
     load_csv,
     load_radon_csv,
 )
-from mlevidence.likelihood_core import ThetaPoint, precompute
+from mlevidence.likelihood_core import precompute
 from mlevidence.model_spec import (
     CorrelationPrior,
     EtaCovStructure,
@@ -379,20 +379,14 @@ def cmd_fit_export(args):
     _, cloud = run_smc(stats, spec, "integrated", args.particles, args.seed)
     post = recover_beta_posterior(cloud, stats, spec, "integrated")
 
-    eta_means = eta_covs = None
-    layout = spec.layout
-    if layout.group_width:
+    eta_means = None
+    if spec.layout.group_width:
+        # The group effects at the weighted-mean variance row; their spread
+        # is not propagated into the bands.
         bar = cloud.normalized_weights() @ variance_block_to_natural(spec, cloud.particles)
-        m = layout.group_width
-        if layout.z_effects:
-            rho = bar[1 + m] if layout.rho_sampled else layout.fixed_rho
-            theta = ThetaPoint(sigma2_y=bar[0], nu=(bar[1:1 + m], rho))
-        else:
-            theta = ThetaPoint(sigma2_y=bar[0], sigma2_eta=bar[1])
-        eta_means = conditional_eta_means(stats, spec, theta, post.mean)
-        eta_covs = None  # group-effect spread is not propagated into the bands
+        eta_means = conditional_eta_means(stats, spec, bar, post.mean)
 
-    rows = export_fits(post, data, spec, mid, meta, eta_means=eta_means, eta_covs=eta_covs)
+    rows = export_fits(post, data, spec, mid, meta, eta_means=eta_means)
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["county", "t", "mean", "sd", "present"], lineterminator="\n"

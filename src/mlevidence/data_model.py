@@ -156,23 +156,8 @@ def _dense_relabel(labels):
     return out, list(seen)
 
 
-def load_csv(path, schema):
-    """Load a Dataset from a comma-separated file with a header row.
-
-    Parameters
-    ----------
-    path : str or Path
-    schema : dict
-        Keys ``y`` (response column name), ``group`` (group column name),
-        ``x`` (ordered list of design column names) and optionally ``z``
-        (ordered list of group-varying column names).
-
-    Returns
-    -------
-    Dataset
-        Groups relabeled densely to 1..J in first-appearance order; row
-        order preserved.
-    """
+def _read(path, schema):
+    """:func:`load_csv`'s Dataset, each row's group label as written, and each row's number."""
     for key in ("y", "group", "x"):
         if key not in schema:
             raise SchemaError(f"schema is missing required key {key!r}")
@@ -194,7 +179,7 @@ def load_csv(path, schema):
             if name not in col_index:
                 raise SchemaError(f"column {name!r} not found in header {header}")
 
-        y_vals, group_vals, x_rows, z_rows = [], [], [], []
+        y_vals, group_vals, x_rows, z_rows, rownums = [], [], [], [], []
         for rownum, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -211,25 +196,57 @@ def load_csv(path, schema):
             def num(name):
                 raw = cell(name)
                 try:
-                    return float(raw)
+                    value = float(raw)
                 except ValueError:
                     raise ParseError(f"non-numeric value {raw!r} in column {name!r}", rownum) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {raw!r} in column {name!r}", rownum)
+                return value
 
             y_vals.append(num(schema["y"]))
             group_vals.append(cell(schema["group"]))
             x_rows.append([num(c) for c in x_cols])
             z_rows.append([num(c) for c in z_cols])
+            rownums.append(rownum)
 
     if not y_vals:
         raise EmptyDataError(f"{path}: no data rows")
     group, _ = _dense_relabel(group_vals)
     n = len(y_vals)
-    return Dataset(
+    data = Dataset(
         y=np.array(y_vals),
         x=np.array(x_rows),
         z=np.array(z_rows, dtype=float).reshape(n, len(z_cols)),
         group_of=group,
     )
+    return data, group_vals, rownums
+
+
+def load_csv(path, schema):
+    """Load a Dataset from a comma-separated file with a header row.
+
+    Parameters
+    ----------
+    path : str or Path
+    schema : dict
+        Keys ``y`` (response column name), ``group`` (group column name),
+        ``x`` (ordered list of design column names) and optionally ``z``
+        (ordered list of group-varying column names).
+
+    Returns
+    -------
+    Dataset
+        Groups relabeled densely to 1..J in first-appearance order; row
+        order preserved.
+
+    Raises
+    ------
+    ParseError
+        For a missing, blank, non-numeric or non-finite (``nan``, ``inf``)
+        numeric cell, with the 1-based row number; blank rows are skipped
+        but counted.
+    """
+    return _read(path, schema)[0]
 
 
 @dataclass(frozen=True)
@@ -247,22 +264,20 @@ class RadonTable:
 
 
 def load_radon_csv(path):
-    """Read the radon schema: columns county, floor, log_radon, log_uranium."""
-    data = load_csv(
-        path,
-        schema={"y": "log_radon", "group": "county", "x": ["floor", "log_uranium"]},
+    """Read the radon schema: columns county, floor, log_radon, log_uranium.
+
+    Parsed as :func:`load_csv` parses, with the county labels kept as
+    written; a floor value other than 0 or 1 is a ``ParseError`` at its row.
+    """
+    data, county, rownums = _read(
+        path, schema={"y": "log_radon", "group": "county", "x": ["floor", "log_uranium"]}
     )
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        ci = header.index("county")
-        county = tuple(row[ci].strip() for row in reader if row and any(c.strip() for c in row))
-    floor = data.x[:, 0].astype(np.int64)
-    if not np.all((floor == 0) | (floor == 1)):
-        raise ParseError("floor must be 0 or 1", int(np.argmax((floor != 0) & (floor != 1))) + 1)
+    bad = (data.x[:, 0] != 0.0) & (data.x[:, 0] != 1.0)
+    if np.any(bad):
+        raise ParseError("floor must be 0 or 1", rownums[int(np.argmax(bad))])
     return RadonTable(
-        county=county,
-        floor=floor,
+        county=tuple(county),
+        floor=data.x[:, 0].astype(np.int64),
         log_radon=data.y.copy(),
         log_uranium=data.x[:, 1].copy(),
     )

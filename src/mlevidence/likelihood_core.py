@@ -6,8 +6,8 @@ natural variance rows to the Gaussian posterior-precision system of the
 coefficients: ``A``, ``rhs``, the remaining log-determinant and data-fit
 terms, and a mask of rows with zero density.  Every other evaluator reads
 that system: the batched integrated likelihood, the conditional
-coefficient posteriors, the AIC profile (with a flat prior), and the
-one-point functions ``log_integrated_*``, which are one-row calls.
+coefficient posteriors and the AIC profile (with a flat prior).  One
+variance point is a block of one row.
 
 Every kernel works in one whitened eigenbasis of X^T X: whitened by the
 prior covariance, or for a flat prior by the data over the range of X^T X.
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mlevidence.model_spec import Z_EFFECTS, assemble_sigma_eta
+from mlevidence.model_spec import assemble_sigma_eta
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -258,11 +258,6 @@ class System(NamedTuple):
     basis: np.ndarray       # (d, d')
     V: LowRank | None = None      # precision diag(A) - V^T V
     bordered: np.ndarray | None = None   # (P, d'+1, d'+1) when A is dense
-
-
-def _check_family(spec, *allowed):
-    if spec.family not in allowed:
-        raise ValueError(f"family {spec.family!r} not valid here (expected {allowed})")
 
 
 def theta_row(theta):
@@ -691,59 +686,6 @@ def batch_log_integrated(stats, spec):
     return loglik
 
 
-def _one_row(stats, spec, row):
-    return float(batch_log_integrated(stats, spec)(np.array([row], dtype=float))[0])
-
-
-def log_integrated_lm(stats, spec, sigma2):
-    """Log likelihood with the Gaussian coefficient prior integrated out."""
-    _check_family(spec, "LinearModel")
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be strictly positive")
-    return _one_row(stats, spec, [sigma2])
-
-
-def log_integrated_nig_conditional(stats, spec, sigma2):
-    """Conditional integrated likelihood for the conjugate family.
-
-    Identical to the plain linear-model evaluator with prior covariance
-    gamma * sigma2 * prior_cov.
-    """
-    _check_family(spec, "LinearModelNIG")
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be strictly positive")
-    return _one_row(stats, spec, [sigma2])
-
-
-def log_integrated_simple_ml(stats, spec, sigma2_y, sigma2_eta):
-    """Integrated likelihood with coefficients and group intercepts marginalized.
-
-    ``sigma2_eta = 0`` is an exact boundary and reduces to the plain
-    linear-model value at ``sigma2 = sigma2_y``.
-    """
-    _check_family(spec, "SimpleMultilevel")
-    if not sigma2_y > 0:
-        raise ValueError("sigma2_y must be strictly positive")
-    if sigma2_eta < 0:
-        raise ValueError("sigma2_eta must be nonnegative")
-    return _one_row(stats, spec, [sigma2_y, sigma2_eta])
-
-
-def log_integrated_general_ml(stats, spec, theta):
-    """Integrated likelihood for the group-varying-coefficient family.
-
-    Returns ``-inf`` when the group-level covariance assembled from theta
-    is not positive-definite (a rejected proposal, not an error).
-    """
-    _check_family(spec, "GeneralMultilevel")
-    if theta.nu is None:
-        raise ValueError("theta.nu is required for GeneralMultilevel")
-    try:
-        return _one_row(stats, spec, theta_row(theta)[0])
-    except np.linalg.LinAlgError:
-        return -np.inf
-
-
 # ---------------------------------------------------------------------------
 # Full likelihood over (coefficients, group effects).
 # ---------------------------------------------------------------------------
@@ -766,57 +708,32 @@ def group_design(stats, z_effects):
     )
 
 
-def _log_full(stats, z_effects, beta, eta, sigma2_y):
-    rss = (
-        stats.sum_yy
-        - 2.0 * beta @ stats.sum_xy
-        + np.einsum("pa,ab,pb->p", beta, stats.gram_xx, beta, optimize=True)
-    )
-    if z_effects is not None:
-        Gz, Szy, Cxz = group_design(stats, z_effects)
-        eta = eta.reshape(beta.shape[0], stats.J, -1)
-        rss = rss + (
-            np.einsum("pja,jab,pjb->p", eta, Gz, eta, optimize=True)
-            - 2.0 * np.einsum("pja,ja->p", eta, Szy, optimize=True)
-            + 2.0 * np.einsum("pa,jab,pjb->p", beta, Cxz, eta, optimize=True)
-        )
-    return -0.5 * (stats.n * (LOG_2PI + np.log(sigma2_y)) + rss / sigma2_y)
-
-
-def log_full_likelihood(stats, family, beta, sigma2_y, eta=None):
-    """Exact Gaussian log-density of y given coefficients and group effects.
-
-    Priors are not included (the sampler adds them).  ``eta`` has shape
-    (J,) for SimpleMultilevel and (J, m) for GeneralMultilevel.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (stats.d,):
-        raise ValueError(f"beta must have length {stats.d}")
-    if not sigma2_y > 0:
-        raise ValueError("sigma2_y must be strictly positive")
-    if family not in Z_EFFECTS:
-        raise ValueError(f"unknown family {family!r}")
-    z_effects = Z_EFFECTS[family]
-    if z_effects is None:
-        if eta is not None:
-            raise ValueError("single-level families take no group effects")
-    else:
-        eta = np.asarray(eta, dtype=float)
-        shape = (stats.J, stats.m) if z_effects else (stats.J,)
-        if eta.shape != shape:
-            raise ValueError(f"eta must have shape {shape}")
-        eta = eta[None]
-    return float(_log_full(stats, z_effects, beta[None], eta, np.array([sigma2_y]))[0])
-
-
 def batch_log_full(stats, spec):
-    """Vectorized full log-likelihood over (beta, eta) particle blocks.
+    """Vectorized exact Gaussian log-density of y given coefficients and group effects.
 
     The returned function takes ``(beta, eta, sigma2_y)`` with shapes
-    (P, d), (P, J) or (P, J, m) or None, and (P,).
+    (P, d), (P, J) or (P, J, m) or None, and (P,).  Priors are not
+    included (the sampler adds them).
     """
     z_effects = spec.layout.z_effects
-    return lambda beta, eta, sigma2_y: _log_full(stats, z_effects, beta, eta, sigma2_y)
+
+    def log_full(beta, eta, sigma2_y):
+        rss = (
+            stats.sum_yy
+            - 2.0 * beta @ stats.sum_xy
+            + np.einsum("pa,ab,pb->p", beta, stats.gram_xx, beta, optimize=True)
+        )
+        if z_effects is not None:
+            Gz, Szy, Cxz = group_design(stats, z_effects)
+            eta = eta.reshape(beta.shape[0], stats.J, -1)
+            rss = rss + (
+                np.einsum("pja,jab,pjb->p", eta, Gz, eta, optimize=True)
+                - 2.0 * np.einsum("pja,ja->p", eta, Szy, optimize=True)
+                + 2.0 * np.einsum("pa,jab,pjb->p", beta, Cxz, eta, optimize=True)
+            )
+        return -0.5 * (stats.n * (LOG_2PI + np.log(sigma2_y)) + rss / sigma2_y)
+
+    return log_full
 
 
 # ---------------------------------------------------------------------------

@@ -267,10 +267,6 @@ class ModelSpec:
             z_effects=Z_EFFECTS[self.family],
         )
 
-    def n_variance_params(self):
-        """Count of free variance-type parameters (used for AIC's k)."""
-        return self.layout.n_params
-
 
 def validate(spec, data):
     """Check a spec against a dataset; returns a list of violations (empty if ok)."""

@@ -27,7 +27,6 @@ from mlevidence.likelihood_core import (
     posterior_system,
     precompute,
     solve_lower,
-    theta_row,
 )
 from mlevidence.model_spec import NotPositiveDefiniteError
 from mlevidence.smc_engine import variance_block_to_natural
@@ -276,9 +275,12 @@ def bayes_factor(est_m, est_n, bands=DEFAULT_BF_BANDS):
     return BayesFactor(log_bf=float(log_bf), std=std, label=label)
 
 
-def conditional_eta_means(stats, spec, theta, beta):
+def conditional_eta_means(stats, spec, row, beta):
     """Conditional means of the group effects given variances and coefficients.
 
+    ``row`` is one natural variance row in ``spec.layout`` order (sigma2_y,
+    the group-effect variances, then the correlation, which may be left out
+    when the spec fixes it).  The means are
     ``M_j^-1 (Z_j^T y_j - Z_j^T X_j beta) / sigma2_y`` per group, with
     ``M_j^-1 = Lambda K_j^-1 Lambda^T`` from :func:`group_blocks`, so
     Sigma_eta is not inverted.  Returns a (J, group width) array: one column
@@ -287,12 +289,13 @@ def conditional_eta_means(stats, spec, theta, beta):
     layout = spec.layout
     if not layout.group_width:
         raise ValueError("group effects exist only for multilevel families")
-    se, ok = layout.sigma_eta(theta_row(theta))
+    nat = np.asarray(row, dtype=float)[None]
+    se, ok = layout.sigma_eta(nat)
     if not ok[0]:
         raise NotPositiveDefiniteError("group-level covariance is not positive-definite")
     Gz, Szy, Cxz = group_design(stats, layout.z_effects)
-    s2y = theta.sigma2_y
-    m_inv, _ = group_blocks(np.linalg.cholesky(se), Gz, np.array([s2y]))
+    s2y = nat[0, 0]
+    m_inv, _ = group_blocks(np.linalg.cholesky(se), Gz, nat[:, 0])
     resid = Szy - np.einsum("jam,a->jm", Cxz, beta)
     return np.einsum("abj,jb->ja", m_inv[0], resid) / s2y
 

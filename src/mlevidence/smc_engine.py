@@ -15,7 +15,7 @@ atanh, with prior Jacobians included, so proposals never leave the support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -394,30 +394,6 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
     return U, logprior, loglik, rate, run_rates
 
 
-def mh_rejuvenate(cloud, target_logdensity, sweeps, rng=None):
-    """Random-walk Metropolis refresh of a cloud against an arbitrary target.
-
-    The proposal covariance is the weighted empirical covariance of the
-    cloud scaled by 2.38^2 / dim.  ``sweeps = 0`` returns the cloud
-    unchanged.
-    """
-    if sweeps == 0:
-        return cloud
-    if rng is None:
-        rng = np.random.default_rng(
-            (int(cloud.rng_seed) ^ ((cloud.stage + 1) * SEED_SPLIT_MULTIPLIER)) % 2 ** 64
-        )
-    U = np.array(cloud.particles, dtype=float)
-    dim = U.shape[1]
-    prop_chol = _proposal_chol(U[None], cloud.normalized_weights()[None], dim)
-    # The whole density rides in log_prior; a zero log_lik at beta = 1 adds nothing.
-    target = _Target(dim, None, target_logdensity, lambda V: np.zeros(V.shape[0]))
-    U, _, _, rate, _ = _mh_sweeps(
-        U, target_logdensity(U), np.zeros(U.shape[0]), np.ones(1), target, sweeps, prop_chol, [rng]
-    )
-    return replace(cloud, particles=U, accept_rate=rate)
-
-
 def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target_frac=0.5,
                resample_threshold_frac=0.5, max_stages=1000):
     """Tempered SMC runs of one target in lockstep; returns one (log evidence, cloud) per seed.
@@ -535,15 +511,13 @@ def derive_run_seed(master_seed, run_index):
     return (int(master_seed) ^ (((run_index + 1) * SEED_SPLIT_MULTIPLIER) % 2 ** 64)) % 2 ** 64
 
 
-def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *,
-                      sweeps=None, jobs=1):
+def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *, sweeps=None):
     """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate.
 
-    The runs advance in lockstep as one batch (see :func:`run_smc`): one
+    The runs advance in lockstep as one batch in one process: one
     likelihood call per MH sweep for all of them.  Run k equals
-    ``run_smc`` with seed ``derive_run_seed(master_seed, k)`` up to
-    rounding.  ``jobs`` is accepted for compatibility; every value runs
-    the same single batch, so results never depend on it.
+    :func:`run_smc` with seed ``derive_run_seed(master_seed, k)`` up to
+    rounding.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")

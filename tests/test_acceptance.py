@@ -22,11 +22,9 @@ from mlevidence.cli import RADON_MODEL_IDS, radon_model_spec
 from mlevidence.data_model import Dataset, build_radon_design, load_radon_csv
 from mlevidence.likelihood_core import (
     ThetaPoint,
-    log_integrated_general_ml,
-    log_integrated_lm,
-    log_integrated_nig_conditional,
-    log_integrated_simple_ml,
+    batch_log_integrated,
     precompute,
+    theta_row,
 )
 from mlevidence.model_spec import IGPrior, ModelSpec
 from mlevidence.posterior_analysis import aic, mahalanobis, recover_beta_posterior
@@ -37,7 +35,7 @@ from mlevidence.simulation_study import (
     builtin_model_specs,
     generate_dataset,
 )
-from mlevidence.smc_engine import estimate_evidence, run_smc
+from mlevidence.smc_engine import derive_run_seed, estimate_evidence, run_smc
 
 _CFG = SimConfig()
 GENERATOR_OF = {"D0": "M0", "D1": "M1", "D2": "M2", "D3": "M3"}
@@ -177,14 +175,12 @@ def test_criterion4_randomized_oracle_equivalence():
             data = _desk_data(rng, n, d, 0, 1)
             spec = lm_spec(d)
             theta = ThetaPoint(sigma2_y=s2y)
-            val = log_integrated_lm(precompute(data), spec, s2y)
         elif fam == 1:
             d = int(rng.integers(1, 3))
             n = int(rng.integers(d, 6))
             data = _desk_data(rng, n, d, 0, 1)
             spec = nig_spec(d, gamma=float(rng.uniform(0.5, 3.0)))
             theta = ThetaPoint(sigma2_y=s2y)
-            val = log_integrated_nig_conditional(precompute(data), spec, s2y)
         elif fam == 2:
             J = int(rng.integers(1, 3))
             n = int(rng.integers(max(2, J), 6))
@@ -192,7 +188,6 @@ def test_criterion4_randomized_oracle_equivalence():
             spec = simple_spec(1)
             s2e = float(rng.uniform(0.1, 1.5))
             theta = ThetaPoint(sigma2_y=s2y, sigma2_eta=s2e)
-            val = log_integrated_simple_ml(precompute(data), spec, s2y, s2e)
         else:
             n = int(rng.integers(2, 6))
             data = _desk_data(rng, n, 1, 2, 1)
@@ -200,7 +195,7 @@ def test_criterion4_randomized_oracle_equivalence():
             spec = general_spec(1, m=2, rho=rho)
             variances = rng.uniform(0.2, 1.5, 2)
             theta = ThetaPoint(sigma2_y=s2y, nu=(variances, rho))
-            val = log_integrated_general_ml(precompute(data), spec, theta)
+        val = batch_log_integrated(precompute(data), spec)(theta_row(theta))[0]
         oracle, _ = quadrature_log_integrated(data, spec, theta)
         worst = max(worst, abs(float(val) - float(oracle)))
     elapsed = time.monotonic() - t0
@@ -213,18 +208,16 @@ def test_criterion4_boundary_reductions():
     # vanishing group variance: shrinkage family degenerates to the plain model
     data = _desk_data(rng, 5, 2, 0, 2)
     stats = precompute(data)
-    a = log_integrated_simple_ml(stats, simple_spec(2), 0.9, 1e-300)
-    b = log_integrated_lm(stats, lm_spec(2), 0.9)
+    a = batch_log_integrated(stats, simple_spec(2))(np.array([[0.9, 1e-300]]))[0]
+    b = batch_log_integrated(stats, lm_spec(2))(np.array([[0.9]]))[0]
     assert abs(a - b) <= 1e-10
 
     # scalar group design: the general family degenerates to the shrinkage one
     base = _desk_data(rng, 5, 2, 0, 2)
     data = Dataset(y=base.y, x=base.x, z=np.ones((5, 1)), group_of=base.group_of)
-    a = log_integrated_general_ml(
-        precompute(data), general_spec(2, m=1, pattern=()),
-        ThetaPoint(sigma2_y=0.9, nu=(np.array([0.5]), 0.0)),
-    )
-    b = log_integrated_simple_ml(precompute(base), simple_spec(2), 0.9, 0.5)
+    a = batch_log_integrated(precompute(data), general_spec(2, m=1, pattern=()))(
+        np.array([[0.9, 0.5, 0.0]]))[0]
+    b = batch_log_integrated(precompute(base), simple_spec(2))(np.array([[0.9, 0.5]]))[0]
     assert abs(a - b) <= 1e-10
 
     # conjugate prior covariance gamma*sigma2*Sigma equals an unscaled prior
@@ -237,8 +230,8 @@ def test_criterion4_boundary_reductions():
         family="LinearModel", prior_mean=np.zeros(2),
         prior_cov=gamma * sigma2 * 0.7 * np.eye(2), ig_y=IGPrior(3.0, 0.4),
     )
-    a = log_integrated_nig_conditional(stats, spec_n, sigma2)
-    b = log_integrated_lm(stats, spec_l, sigma2)
+    a = batch_log_integrated(stats, spec_n)(np.array([[sigma2]]))[0]
+    b = batch_log_integrated(stats, spec_l)(np.array([[sigma2]]))[0]
     assert abs(a - b) <= 1e-10
 
 
@@ -357,15 +350,15 @@ def test_criterion7_ess_floor_respected_at_every_stage():
         assert all(e >= 0.5 * n - 1e-6 for e in cloud.ess_trace), min(cloud.ess_trace)
 
 
-def test_criterion7_seed_determinism_serial_and_parallel():
+def test_criterion7_seed_determinism_batch_and_single_runs():
     rng = np.random.default_rng(12)
     data = _desk_data(rng, 60, 2, 0, 3)
     stats = precompute(data)
     spec = simple_spec(2)
     serial_1 = estimate_evidence(stats, spec, "integrated", 4, 128, master_seed=9)
     serial_2 = estimate_evidence(stats, spec, "integrated", 4, 128, master_seed=9)
-    parallel = estimate_evidence(
-        stats, spec, "integrated", 4, 128, master_seed=9, jobs=4
-    )
     assert serial_1.runs == serial_2.runs  # rerun: byte-identical
-    assert serial_1.runs == parallel.runs  # serial vs parallel: byte-identical
+    for k in range(4):  # each run of the batch is the run made alone, to rounding
+        logz, cloud = run_smc(stats, spec, "integrated", 128, derive_run_seed(9, k))
+        assert abs(serial_1.runs[k] - logz) < 1e-9
+        assert serial_1.stage_counts[k] == cloud.stage

@@ -88,6 +88,19 @@ class TestLoadCsv:
             load_csv(p, self.SCHEMA)
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_y_cell_reports_row(self, tmp_path, cell):
+        p = self.write(tmp_path, f"y,g,a,b\n1.0,1,1,0\n\n{cell},1,0,1\n")
+        with pytest.raises(ParseError, match="non-finite value .* column 'y'") as exc:
+            load_csv(p, self.SCHEMA)
+        assert exc.value.row == 3   # the blank row is counted
+
+    def test_non_finite_x_cell_reports_row(self, tmp_path):
+        p = self.write(tmp_path, "y,g,a,b\n1.0,1,1,0\n2.0,1,0,nan\n")
+        with pytest.raises(ParseError, match="non-finite value 'nan' in column 'b'") as exc:
+            load_csv(p, self.SCHEMA)
+        assert exc.value.row == 2
+
     def test_empty_file(self, tmp_path):
         p = self.write(tmp_path, "")
         with pytest.raises(EmptyDataError):
@@ -170,3 +183,28 @@ class TestRadonDesign:
         p = _radon_csv(tmp_path, [("A", 2, 0.5, 0.1), ("A", 0, 0.3, 0.1)])
         with pytest.raises(ParseError):
             load_radon_csv(p)
+
+    def test_fractional_floor_reports_row(self, tmp_path):
+        """A fractional floor fails at its own row, not truncated to 0 or 1;
+        the row number counts blank rows, as load_csv's do."""
+        p = tmp_path / "radon.csv"
+        p.write_text("county,floor,log_radon,log_uranium\n"
+                     "A,0,0.5,0.1\n\nA,0.5,0.3,0.1\nB,1.7,0.2,0.4\nB,0,0.1,0.4\n")
+        with pytest.raises(ParseError, match="floor must be 0 or 1") as exc:
+            load_radon_csv(p)
+        assert exc.value.row == 3
+
+    def test_non_finite_cell_reports_row(self, tmp_path):
+        p = _radon_csv(tmp_path, [("A", 0, 0.5, 0.1), ("A", 1, "inf", 0.1)])
+        with pytest.raises(ParseError, match="non-finite value 'inf' in column 'log_radon'") as exc:
+            load_radon_csv(p)
+        assert exc.value.row == 2
+
+    def test_counties_read_as_written(self, tmp_path):
+        p = tmp_path / "radon.csv"
+        p.write_text("county,floor,log_radon,log_uranium\n B ,0,0.5,0.1\n\nA,1,0.3,0.2\nB,1,0.1,0.1\n")
+        raw = load_radon_csv(p)
+        assert raw.county == ("B", "A", "B")
+        assert raw.floor.dtype == np.int64 and list(raw.floor) == [0, 1, 1]
+        assert list(raw.log_radon) == [0.5, 0.3, 0.1]
+        assert list(raw.log_uranium) == [0.1, 0.2, 0.1]

@@ -10,12 +10,8 @@ from mlevidence.likelihood_core import (
     batch_log_full,
     batch_log_integrated,
     conditional_beta_posterior,
-    log_full_likelihood,
-    log_integrated_general_ml,
-    log_integrated_lm,
-    log_integrated_nig_conditional,
-    log_integrated_simple_ml,
     precompute,
+    theta_row,
 )
 from mlevidence.simulation_study import ETA_PATTERN
 
@@ -84,25 +80,25 @@ class TestPrecompute:
 class TestFrozenOracles:
     def test_lm_matches_oracle(self):
         stats = precompute(lm_data())
-        assert abs(log_integrated_lm(stats, lm_spec(2), 0.8) - LM_ORACLE) < 1e-10
+        assert abs(batch_log_integrated(stats, lm_spec(2))(np.array([[0.8]]))[0] - LM_ORACLE) < 1e-10
 
     def test_nig_conditional_matches_oracle(self):
         stats = precompute(lm_data())
         assert abs(
-            log_integrated_nig_conditional(stats, nig_spec(2), 0.8) - NIG_COND_ORACLE
+            batch_log_integrated(stats, nig_spec(2))(np.array([[0.8]]))[0] - NIG_COND_ORACLE
         ) < 1e-10
 
     def test_simple_ml_matches_oracle(self):
         stats = precompute(sm_data())
         assert abs(
-            log_integrated_simple_ml(stats, simple_spec(1), 0.8, 0.5) - SM_ORACLE
+            batch_log_integrated(stats, simple_spec(1))(np.array([[0.8, 0.5]]))[0] - SM_ORACLE
         ) < 1e-10
 
     def test_general_ml_matches_oracle(self):
         stats = precompute(gm_data())
         theta = ThetaPoint(sigma2_y=0.8, nu=(np.array([0.4, 0.6]), 0.3))
         assert abs(
-            log_integrated_general_ml(stats, general_spec(1, m=2), theta) - GM_ORACLE
+            batch_log_integrated(stats, general_spec(1, m=2))(theta_row(theta))[0] - GM_ORACLE
         ) < 1e-10
 
 
@@ -112,8 +108,8 @@ class TestBoundaryReductions:
         stats = precompute(data)
         spec_s = simple_spec(2)
         spec_l = lm_spec(2)
-        a = log_integrated_simple_ml(stats, spec_s, 0.9, 1e-300)
-        b = log_integrated_lm(stats, spec_l, 0.9)
+        a = batch_log_integrated(stats, spec_s)(np.array([[0.9, 1e-300]]))[0]
+        b = batch_log_integrated(stats, spec_l)(np.array([[0.9]]))[0]
         assert abs(a - b) < 1e-10
 
     def test_general_ml_scalar_z_is_simple_ml(self, rng):
@@ -122,10 +118,8 @@ class TestBoundaryReductions:
         stats_g = precompute(data)
         stats_s = precompute(base)
         spec_g = general_spec(2, m=1, pattern=())
-        a = log_integrated_general_ml(
-            stats_g, spec_g, ThetaPoint(sigma2_y=0.9, nu=(np.array([0.5]), 0.0))
-        )
-        b = log_integrated_simple_ml(stats_s, simple_spec(2), 0.9, 0.5)
+        a = batch_log_integrated(stats_g, spec_g)(np.array([[0.9, 0.5, 0.0]]))[0]
+        b = batch_log_integrated(stats_s, simple_spec(2))(np.array([[0.9, 0.5]]))[0]
         assert abs(a - b) < 1e-10
 
     @pytest.mark.parametrize("sigma2", [1e-6, 0.65, 1e6])
@@ -143,9 +137,9 @@ class TestBoundaryReductions:
                 family="LinearModel", prior_mean=np.zeros(2),
                 prior_cov=3.0 * s2 * 0.7 * np.eye(2), ig_y=ms.IGPrior(3.0, 0.4),
             )
-            return log_integrated_lm(stats, spec_l, s2)
+            return batch_log_integrated(stats, spec_l)(np.array([[s2]]))[0]
 
-        a = log_integrated_nig_conditional(stats, spec_n, sigma2)
+        a = batch_log_integrated(stats, spec_n)(np.array([[sigma2]]))[0]
         b = lm_value(sigma2)
         assert abs(a - b) < 1e-10 * max(1.0, abs(b) / 100.0)
         rows = sigma2 * np.array([1.0, 1e-3, 0.5, 2.0, 1e3])
@@ -160,9 +154,9 @@ class TestBoundaryReductions:
             group_of=np.zeros(0, dtype=int),
         )
         stats = precompute(data)
-        assert log_integrated_lm(stats, lm_spec(2), 0.8) == 0.0
-        assert log_integrated_simple_ml(stats, simple_spec(2), 0.8, 0.5) == 0.0
-        assert log_integrated_nig_conditional(stats, nig_spec(2), 0.8) == 0.0
+        assert batch_log_integrated(stats, lm_spec(2))(np.array([[0.8]]))[0] == 0.0
+        assert batch_log_integrated(stats, simple_spec(2))(np.array([[0.8, 0.5]]))[0] == 0.0
+        assert batch_log_integrated(stats, nig_spec(2))(np.array([[0.8]]))[0] == 0.0
         assert np.all(batch_log_integrated(stats, nig_spec(2))(np.array([[1e-6], [0.8], [1e6]])) == 0.0)
 
     def test_non_pd_eta_cov_is_minus_inf(self, rng):
@@ -170,7 +164,7 @@ class TestBoundaryReductions:
         stats = precompute(data)
         spec = general_spec(1, m=3, rho=0.99, pattern=((0, 1), (1, 2)))
         theta = ThetaPoint(sigma2_y=0.8, nu=(np.ones(3), 0.99))
-        assert log_integrated_general_ml(stats, spec, theta) == -np.inf
+        assert batch_log_integrated(stats, spec)(theta_row(theta))[0] == -np.inf
 
     def test_extreme_variance_ratio_is_never_nan(self):
         """One row per group makes every Z_j^T Z_j singular; at variances near
@@ -260,7 +254,7 @@ class TestFullLikelihood:
         mean = data.x @ beta + np.sum(data.z * eta[data.group_of - 1], axis=1)
         resid = data.y - mean
         direct = -0.5 * (20 * np.log(2 * np.pi * s2) + resid @ resid / s2)
-        val = log_full_likelihood(stats, "GeneralMultilevel", beta, s2, eta)
+        val = batch_log_full(stats, general_spec(3, m=2))(beta[None], eta[None], np.array([s2]))[0]
         assert abs(val - direct) < 1e-8
 
     def test_lm_case(self, rng):
@@ -269,7 +263,8 @@ class TestFullLikelihood:
         beta = rng.normal(size=2)
         resid = data.y - data.x @ beta
         direct = -0.5 * (15 * np.log(2 * np.pi * 0.5) + resid @ resid / 0.5)
-        assert abs(log_full_likelihood(stats, "LinearModel", beta, 0.5) - direct) < 1e-8
+        val = batch_log_full(stats, lm_spec(2))(beta[None], None, np.array([0.5]))[0]
+        assert abs(val - direct) < 1e-8
 
 
 class TestBatchEvaluators:
@@ -286,34 +281,24 @@ class TestBatchEvaluators:
         if family == "lm":
             spec = lm_spec(3)
             theta = 0.2 + rng.random((P, 1))
-            ref = [log_integrated_lm(stats, spec, t[0]) for t in theta]
         elif family == "nig":
             spec = nig_spec(3)
             theta = 0.2 + rng.random((P, 1))
-            ref = [log_integrated_nig_conditional(stats, spec, t[0]) for t in theta]
         elif family == "simple":
             spec = simple_spec(3)
             theta = 0.2 + rng.random((P, 2))
-            ref = [log_integrated_simple_ml(stats, spec, t[0], t[1]) for t in theta]
         elif family == "general":
             spec = general_spec(3, m=2)
             theta = 0.2 + rng.random((P, 3))
-            ref = [
-                log_integrated_general_ml(
-                    stats, spec, ThetaPoint(sigma2_y=t[0], nu=(t[1:3], 0.3))
-                )
-                for t in theta
-            ]
         else:
             spec = general_spec(3, m=2, sampled_rho=True)
             theta = np.column_stack([0.2 + rng.random((P, 3)), rng.uniform(-0.8, 0.8, P)])
-            ref = [
-                log_integrated_general_ml(
-                    stats, spec, ThetaPoint(sigma2_y=t[0], nu=(t[1:3], t[3]))
-                )
-                for t in theta
-            ]
-        out = batch_log_integrated(stats, spec)(theta)
+        loglik = batch_log_integrated(stats, spec)
+        rows = theta
+        if family == "general":   # the fixed correlation may ride along in a row
+            rows = np.column_stack([theta, np.full(P, 0.3)])
+        ref = [loglik(row[None])[0] for row in rows]
+        out = loglik(theta)
         assert np.allclose(out, ref, atol=1e-8, rtol=0)
 
     def test_batch_full_matches_scalar(self, rng):
@@ -325,10 +310,8 @@ class TestBatchEvaluators:
         eta = rng.normal(size=(P, 3, 2))
         s2 = 0.3 + rng.random(P)
         out = batch_log_full(stats, spec)(beta, eta, s2)
-        ref = [
-            log_full_likelihood(stats, "GeneralMultilevel", beta[i], s2[i], eta[i])
-            for i in range(P)
-        ]
+        loglik = batch_log_full(stats, spec)
+        ref = [loglik(beta[i:i + 1], eta[i:i + 1], s2[i:i + 1])[0] for i in range(P)]
         assert np.allclose(out, ref, atol=1e-8, rtol=0)
 
 
@@ -403,7 +386,7 @@ def test_property_lm_oracle_agreement(seed, s2):
     direct = -0.5 * (
         data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y)
     )
-    assert abs(log_integrated_lm(stats, spec, s2) - direct) < 1e-8
+    assert abs(batch_log_integrated(stats, spec)(np.array([[s2]]))[0] - direct) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -428,7 +411,7 @@ def test_property_simple_ml_dense_marginal(seed, s2y, s2e):
         direct = -0.5 * (
             data.n * np.log(2 * np.pi) + logdet + data.y @ np.linalg.solve(V, data.y)
         )
-        assert abs(log_integrated_simple_ml(stats, spec, s2y, s2e) - direct) < 1e-8
+        assert abs(batch_log_integrated(stats, spec)(np.array([[s2y, s2e]]))[0] - direct) < 1e-8
 
 
 @settings(max_examples=15, deadline=None)

@@ -89,12 +89,12 @@ class TestModelSpecValidation:
                 ig_y=IGPrior(3.0, 0.4),
             )
 
-    def test_n_variance_params(self):
-        assert lm_spec(2).n_variance_params() == 1
-        assert nig_spec(2).n_variance_params() == 1
-        assert simple_spec(2).n_variance_params() == 2
-        assert general_spec(2, m=2).n_variance_params() == 3
-        assert general_spec(2, m=2, sampled_rho=True).n_variance_params() == 4
+    def test_layout_counts_variance_params(self):
+        assert lm_spec(2).layout.n_params == 1
+        assert nig_spec(2).layout.n_params == 1
+        assert simple_spec(2).layout.n_params == 2
+        assert general_spec(2, m=2).layout.n_params == 3
+        assert general_spec(2, m=2, sampled_rho=True).layout.n_params == 4
 
     def test_validate_against_data(self, rng):
         data = make_dataset(rng, 12, 3, 2, 3)

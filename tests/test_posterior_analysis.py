@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from mlevidence.data_model import Dataset
-from mlevidence.likelihood_core import LOG_2PI, ThetaPoint, precompute
+from mlevidence.likelihood_core import LOG_2PI, ThetaPoint, precompute, theta_row
 from mlevidence.analytic_evidence import nig_posterior
 from mlevidence.model_spec import assemble_sigma_eta
 from mlevidence.posterior_analysis import (
@@ -245,9 +245,8 @@ class TestConditionalEtaMeans:
         data = make_dataset(rng, 60, 2, 0, 3)
         stats = precompute(data)
         spec = simple_spec(2)
-        theta = ThetaPoint(sigma2_y=1.0, sigma2_eta=0.5)
         beta = np.zeros(2)
-        eta = conditional_eta_means(stats, spec, theta, beta)
+        eta = conditional_eta_means(stats, spec, np.array([1.0, 0.5]), beta)
         assert eta.shape == (3, 1)
         # raw group means shrunk by w_j < 1
         for j in range(3):
@@ -265,7 +264,7 @@ class TestConditionalEtaMeans:
         spec = general_spec(2, m=2, rho=rho)
         theta = ThetaPoint(sigma2_y=0.7, nu=(np.array([0.4, 0.9]), rho))
         beta = np.array([0.3, -0.8])
-        eta = conditional_eta_means(precompute(data), spec, theta, beta)
+        eta = conditional_eta_means(precompute(data), spec, theta_row(theta)[0], beta)
         se = assemble_sigma_eta(spec.eta_structure, *theta.nu)
         for j in range(4):
             idx = np.flatnonzero(data.group_of == j + 1)
@@ -277,9 +276,7 @@ class TestConditionalEtaMeans:
     def test_lm_has_no_group_effects(self, rng):
         data = make_dataset(rng, 20, 2, 0, 2)
         with pytest.raises(ValueError):
-            conditional_eta_means(
-                precompute(data), lm_spec(2), ThetaPoint(sigma2_y=1.0), np.zeros(2)
-            )
+            conditional_eta_means(precompute(data), lm_spec(2), np.array([1.0]), np.zeros(2))
 
 
 class TestExportFits:
