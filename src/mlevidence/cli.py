@@ -26,6 +26,10 @@ from mlevidence import __version__, model_spec as spec_io
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence.data_model import (
     RADON_MODEL_IDS,
+    Dataset,
+    EmptyDataError,
+    ParseError,
+    SchemaError,
     build_radon_design,
     load_csv,
     load_radon_csv,
@@ -134,28 +138,49 @@ def _manifest(command, config, seed, run_values, timings, deviations):
     }
 
 
-def _resolve_model(model_arg, data_path, sim_cfg=SimConfig()):
+def _read_once():
+    """``read(load, *args)``: ``load(*args)``, made once per distinct call and kept.
+
+    A read that raises is not kept, so each later model that reads the same
+    file raises the same error again.
+    """
+    done = {}
+
+    def read(load, *args):
+        key = (load, repr(args))
+        if key not in done:
+            done[key] = load(*args)
+        return done[key]
+
+    return read
+
+
+def _resolve_model(model_arg, data_path, read):
     """(dataset, spec, model_label, deviations) from a builtin id or spec file.
 
     Builtin ids take the forms ``sim:M0..sim:M3`` (data is a generic-schema
     CSV from the simulator) and ``radon:M0..radon:M5`` (data is a raw
     radon-schema CSV).  Anything else is treated as a YAML spec file and
-    paired with a generic-schema CSV.
+    paired with a generic-schema CSV.  The file is read through
+    ``read(load, *args)`` (see :func:`_read_once`), so that ``compare``
+    reads it once for all its models.
     """
     if model_arg.startswith("radon:"):
         mid = model_arg.split(":", 1)[1]
-        raw = load_radon_csv(data_path)
+        raw = read(load_radon_csv, data_path)
         data, meta = build_radon_design(raw, mid)
         spec = radon_model_spec(mid, data.d)
         return data, spec, model_arg, [], meta
     if model_arg.startswith("sim:"):
         mid = model_arg.split(":", 1)[1]
-        spec = builtin_model_specs(mid, sim_cfg)
-        data = _load_sim_csv(data_path, sim_cfg, spec)
+        spec = builtin_model_specs(mid)
+        # Simulator CSVs always carry the z block; single-level models ignore it.
+        data = read(load_csv, data_path, _generic_schema(spec, n_z=4))
+        if not spec.layout.group_width:
+            data = Dataset(y=data.y, x=data.x, z=np.zeros((data.n, 0)), group_of=data.group_of)
         return data, spec, model_arg, list(_DEVIATIONS.get(model_arg, [])), None
     spec = spec_io.load(model_arg)
-    schema = _generic_schema(spec)
-    data = load_csv(data_path, schema)
+    data = read(load_csv, data_path, _generic_schema(spec))
     return data, spec, Path(model_arg).name, [], None
 
 
@@ -170,33 +195,20 @@ def _generic_schema(spec, n_z=None):
     }
 
 
-def _load_sim_csv(path, cfg, spec):
-    # Simulator CSVs always carry the z block; single-level models ignore it.
-    schema = _generic_schema(spec, n_z=4)
-    data = load_csv(path, schema)
-    if not spec.layout.group_width:
-        from mlevidence.data_model import Dataset
-
-        data = Dataset(y=data.y, x=data.x, z=np.zeros((data.n, 0)), group_of=data.group_of)
-    return data
-
-
 def _write_dataset_csv(path, data, t=None):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    d, m = data.d, data.m
-    header = ["y", "group"] + [f"x{i}" for i in range(d)] + [f"z{i}" for i in range(m)]
+    """y, group, x, z (and t) columns, each float as its shortest round-trip repr."""
+    header = ["y", "group"] + [f"x{i}" for i in range(data.d)] + [f"z{i}" for i in range(data.m)]
+    columns = [data.x, data.z]
     if t is not None:
         header.append("t")
-    writer.writerow(header)
-    for i in range(data.n):
-        row = [repr(float(data.y[i])), str(int(data.group_of[i]))]
-        row += [repr(float(v)) for v in data.x[i]]
-        row += [repr(float(v)) for v in data.z[i]]
-        if t is not None:
-            row.append(repr(float(t[i])))
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+        columns.append(np.asarray(t, dtype=float)[:, None])
+    # No float repr holds a comma, quote or newline, so csv.writer would quote nothing.
+    lines = [",".join(header)]
+    lines += [
+        f"{y!r},{g},{','.join(map(repr, rest))}"
+        for y, g, rest in zip(data.y.tolist(), data.group_of.tolist(), np.hstack(columns).tolist())
+    ]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args):
@@ -240,7 +252,7 @@ def _evidence_payload(model_label, est, seed, analytic=None, deviations=()):
 
 def cmd_evidence(args):
     t0 = time.perf_counter()
-    data, spec, label, deviations, _ = _resolve_model(args.model, args.data)
+    data, spec, label, deviations, _ = _resolve_model(args.model, args.data, _read_once())
     problems = validate(spec, data)
     if problems:
         print("model/data validation failed:", file=sys.stderr)
@@ -275,16 +287,17 @@ def cmd_compare(args):
     t0 = time.perf_counter()
     rows = []
     deviations = []
+    read = _read_once()
     for model_arg in args.models:
         entry = {"model": model_arg}
         try:
-            data, spec, label, devs, _ = _resolve_model(model_arg, args.data)
+            data, spec, label, devs, _ = _resolve_model(model_arg, args.data, read)
             problems = validate(spec, data)
             if problems:
                 raise ValueError("; ".join(problems))
             stats = precompute(data)
             est = estimate_evidence(stats, spec, args.mode, args.runs, args.particles, args.seed)
-            a = aic(data, spec)
+            a = aic(data, spec, stats=stats)
             entry.update(
                 log_evidence=est.mean, std=est.std, aic=a.aic, k=a.k,
                 max_loglik=a.max_loglik, aic_converged=a.converged, error=None, _est=est,
@@ -455,8 +468,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; an unreadable or malformed input file is one line on stderr and status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ParseError, SchemaError, EmptyDataError) as exc:
+        print(f"mlevidence: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,8 +158,8 @@ def _dense_relabel(labels):
     return out, list(seen)
 
 
-def _read(path, schema):
-    """:func:`load_csv`'s Dataset, each row's group label as written, and each row's number."""
+def _schema_columns(schema):
+    """(group column, numeric columns ``[y] + x + z``, number of x columns) of a schema."""
     for key in ("y", "group", "x"):
         if key not in schema:
             raise SchemaError(f"schema is missing required key {key!r}")
@@ -165,24 +167,64 @@ def _read(path, schema):
     z_cols = list(schema.get("z", []))
     if not x_cols:
         raise SchemaError("schema must name at least one x column")
+    return schema["group"], [schema["y"]] + x_cols + z_cols, len(x_cols)
 
+
+def _data_rows(fh, path, needed):
+    """The header's column index and the numbered rows after it, blank rows skipped but counted."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    col_index = {name: i for i, name in enumerate(header)}
+    for name in needed:
+        if name not in col_index:
+            raise SchemaError(f"column {name!r} not found in header {header}")
+    # A row is blank when all its cells are whitespace, so when their concatenation is.
+    return col_index, ((num, row) for num, row in enumerate(reader, start=1) if "".join(row).strip())
+
+
+def _parse_bulk(path, group_col, columns):
+    """Each row's numeric cells converted in one call, checked finite at the end.
+
+    Returns ``(values, labels, rownums)`` as :func:`_parse_cells` does,
+    or None at the first cell that call or check rejects.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        col_index, rows = _data_rows(fh, path, [columns[0], group_col] + columns[1:])
+        numeric = itemgetter(*(col_index[c] for c in columns))
+        gi = col_index[group_col]
+        values = array("d")
+        labels, rownums = [], []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        col_index = {name: i for i, name in enumerate(header)}
-        needed = [schema["y"], schema["group"]] + x_cols + z_cols
-        for name in needed:
-            if name not in col_index:
-                raise SchemaError(f"column {name!r} not found in header {header}")
+            for rownum, row in rows:
+                values.extend(map(float, numeric(row)))
+                label = row[gi].strip()
+                if not label:
+                    return None
+                labels.append(label)
+                rownums.append(rownum)
+        except (ValueError, IndexError):
+            return None
+    values = np.frombuffer(values, dtype=float).reshape(len(rownums), len(columns))
+    if not np.isfinite(values).all():
+        return None
+    return values, labels, rownums
 
-        y_vals, group_vals, x_rows, z_rows, rownums = [], [], [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
+
+def _parse_cells(path, group_col, columns):
+    """The numeric cells (n, k), group labels as written and 1-based numbers of the non-blank rows.
+
+    Read cell by cell, so that a missing, blank, non-numeric or
+    non-finite cell raises a ``ParseError`` naming its column and row.
+    """
+    y_col, other = columns[0], columns[1:]
+    with open(path, newline="", encoding="utf-8") as fh:
+        col_index, rows = _data_rows(fh, path, [y_col, group_col] + other)
+        values, labels, rownums = [], [], []
+        for rownum, row in rows:
 
             def cell(name):
                 try:
@@ -203,23 +245,35 @@ def _read(path, schema):
                     raise ParseError(f"non-finite value {raw!r} in column {name!r}", rownum)
                 return value
 
-            y_vals.append(num(schema["y"]))
-            group_vals.append(cell(schema["group"]))
-            x_rows.append([num(c) for c in x_cols])
-            z_rows.append([num(c) for c in z_cols])
+            y = num(y_col)
+            labels.append(cell(group_col))
+            values.append([y] + [num(c) for c in other])
             rownums.append(rownum)
+    return np.array(values, dtype=float).reshape(len(rownums), len(columns)), labels, rownums
 
-    if not y_vals:
+
+def _read(path, schema):
+    """:func:`load_csv`'s Dataset, each row's group label as written, and each row's number.
+
+    Rows are parsed in bulk; a file the bulk pass rejects is read again
+    cell by cell, which raises the error naming the first bad cell and
+    its row.
+    """
+    group_col, columns, dx = _schema_columns(schema)
+    parsed = _parse_bulk(path, group_col, columns)
+    if parsed is None:
+        parsed = _parse_cells(path, group_col, columns)
+    values, labels, rownums = parsed
+    if not rownums:
         raise EmptyDataError(f"{path}: no data rows")
-    group, _ = _dense_relabel(group_vals)
-    n = len(y_vals)
+    group, _ = _dense_relabel(labels)
     data = Dataset(
-        y=np.array(y_vals),
-        x=np.array(x_rows),
-        z=np.array(z_rows, dtype=float).reshape(n, len(z_cols)),
+        y=values[:, 0].copy(),
+        x=values[:, 1:1 + dx].copy(),
+        z=values[:, 1 + dx:].copy(),
         group_of=group,
     )
-    return data, group_vals, rownums
+    return data, labels, rownums
 
 
 def load_csv(path, schema):

@@ -201,18 +201,20 @@ def _profile_loglik_builder(stats, spec):
 _START_FACTORS = (1.0, 0.3, 3.0, 0.1, 10.0)
 
 
-def aic(data, spec, k=None):
+def aic(data, spec, k=None, *, stats=None):
     """Akaike information criterion with profile-likelihood parameter count.
 
     k defaults to the design width for the single-level families and the
     design width plus the number of variance-type parameters for the
-    multilevel families.  sigma2_y is profiled out in closed form; the
+    multilevel families.  ``stats``, when given, are ``precompute(data)``
+    already made by the caller.  sigma2_y is profiled out in closed form; the
     multilevel families search the rest with a multi-start Nelder-Mead
     simplex, the starts scaling the ratios of the prior variance means.
     """
     from scipy.optimize import minimize  # only the AIC search needs SciPy
 
-    stats = precompute(data)
+    if stats is None:
+        stats = precompute(data)
     layout = spec.layout
     if k is None:
         k = stats.d + (layout.n_params if layout.group_width else 0)

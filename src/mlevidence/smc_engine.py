@@ -394,9 +394,9 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
     return U, logprior, loglik, rate, run_rates
 
 
-def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target_frac=0.5,
-               resample_threshold_frac=0.5, max_stages=1000):
-    """Tempered SMC runs of one target in lockstep; returns one (log evidence, cloud) per seed.
+def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=None,
+               ess_target_frac=0.5, resample_threshold_frac=0.5, max_stages=1000):
+    """Tempered SMC runs of one target in lockstep; returns one (log evidence, stages, cloud) per seed.
 
     Each run keeps its own exponent, log weights, increments, stage count,
     proposal factor and generator, and makes its draws in the order it
@@ -404,7 +404,10 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
     uniform (when it resamples) and, per MH sweep, its normals and then
     its uniforms.  The runs that have not reached beta = 1 share every
     prior and likelihood call and every bisection step; a run leaves the
-    batch after the stage in which it reaches 1.  The integrated
+    batch after the stage in which it reaches 1.  With ``clouds=False``
+    it leaves right after that stage's increment, the last term of its
+    evidence: the resample and MH sweeps after it would only refresh a
+    posterior cloud, and the cloud returned is None.  The integrated
     likelihood splits large calls into blocks of bounded memory.  Each
     value equals the run's value alone up to rounding (kernels round a row
     slightly differently at other block sizes).
@@ -453,6 +456,11 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
         beta[a] = new_beta
         if not np.all(np.isfinite(norm)):
             raise DegenerateCloudError(int(stage[a][~np.isfinite(norm)][0]))
+        if not clouds:
+            going = new_beta < 1.0
+            if not going.any():
+                break
+            a, stepped, norm = a[going], stepped[going], norm[going]
 
         w = np.exp(stepped - norm[:, None])
         w = w / w.sum(axis=1, keepdims=True)
@@ -475,6 +483,8 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
             )
             U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
 
+    if not clouds:
+        return [(float(np.sum(increments[r])), int(stage[r]), None) for r in range(R)]
     results = []
     for r, seed in enumerate(seeds):
         cloud = ParticleCloud(
@@ -487,7 +497,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, sweeps=None, ess_target
             accept_rate=float(accept_rate[r]),
             ess_trace=tuple(ess_trace[r]),
         )
-        results.append((float(np.sum(increments[r])), cloud))
+        results.append((float(np.sum(increments[r])), cloud.stage, cloud))
     return results
 
 
@@ -500,10 +510,11 @@ def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
     mean of the incremental weights at every stage.  This is the one-run
     case of the batch that :func:`estimate_evidence` runs.
     """
-    return _run_batch(
+    logz, _, cloud = _run_batch(
         stats, spec, mode, n_particles, [seed], sweeps=sweeps, ess_target_frac=ess_target_frac,
         resample_threshold_frac=resample_threshold_frac, max_stages=max_stages,
     )[0]
+    return logz, cloud
 
 
 def derive_run_seed(master_seed, run_index):
@@ -515,15 +526,17 @@ def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *, sw
     """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate.
 
     The runs advance in lockstep as one batch in one process: one
-    likelihood call per MH sweep for all of them.  Run k equals
-    :func:`run_smc` with seed ``derive_run_seed(master_seed, k)`` up to
-    rounding.
+    likelihood call per MH sweep for all of them.  A run stops at the
+    increment that takes it to beta = 1, without the resample and MH
+    sweeps that :func:`run_smc` then makes for its posterior cloud.  Run k
+    equals :func:`run_smc` with seed ``derive_run_seed(master_seed, k)``
+    up to rounding.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     seeds = [derive_run_seed(master_seed, k) for k in range(n_runs)]
-    results = _run_batch(stats, spec, mode, n_particles, seeds, sweeps=sweeps)
+    results = _run_batch(stats, spec, mode, n_particles, seeds, clouds=False, sweeps=sweeps)
     return EvidenceEstimate.from_runs(
-        [logz for logz, _ in results], draws_per_stage=n_particles, likelihood_mode=mode,
-        stage_counts=[cloud.stage for _, cloud in results],
+        [logz for logz, _, _ in results], draws_per_stage=n_particles, likelihood_mode=mode,
+        stage_counts=[stages for _, stages, _ in results],
     )

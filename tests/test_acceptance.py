@@ -37,6 +37,8 @@ from mlevidence.simulation_study import (
 )
 from mlevidence.smc_engine import derive_run_seed, estimate_evidence, run_smc
 
+pytestmark = pytest.mark.acceptance
+
 _CFG = SimConfig()
 GENERATOR_OF = {"D0": "M0", "D1": "M1", "D2": "M2", "D3": "M3"}
 MASTER_SEEDS = tuple(range(8))

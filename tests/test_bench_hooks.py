@@ -79,7 +79,9 @@ def test_layer_hooks_count_general_multilevel_rows(rng):
 
 def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
     """The runs of an evidence estimate share every likelihood call: one for
-    the initial clouds, then one per MH sweep while any run is left."""
+    the initial clouds, then one per MH sweep while any run is left.  A run
+    makes no MH sweeps after its last stage, so each run sweeps one stage
+    fewer than it has."""
     spans = _load_spans()
     stats = likelihood_core.precompute(make_dataset(rng, 60, 2, 0, 3))
     spec = simple_spec(2)
@@ -91,7 +93,8 @@ def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
         tracer.uninstall()
     sweeps = smc_engine._SWEEPS_BY_MODE["integrated"]
     stages = est.stage_counts
-    assert tracer.counts["smc_engine.mh_proposals"] == sweeps * 50 * sum(stages)
-    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + sweeps * max(stages)
-    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (3 + sweeps * sum(stages))
+    runs = len(stages)
+    assert tracer.counts["smc_engine.mh_proposals"] == sweeps * 50 * (sum(stages) - runs)
+    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + sweeps * (max(stages) - 1)
+    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (runs + sweeps * (sum(stages) - runs))
     assert tracer.counts["smc_engine.runs"] == 0   # the span counts run_smc calls only

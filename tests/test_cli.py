@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mlevidence.cli import build_parser, main, radon_model_spec
+from mlevidence.cli import _write_dataset_csv, build_parser, main, radon_model_spec
+from mlevidence.data_model import Dataset
 from mlevidence.posterior_analysis import AICResult
 
 from conftest import rng as _rng_fixture  # noqa: F401 (fixture re-export)
@@ -155,7 +157,7 @@ class TestCompare:
     def test_aic_convergence_reaches_outputs(self, sim_dir, tmp_path, monkeypatch, capsys):
         from mlevidence import cli
 
-        monkeypatch.setattr(cli, "aic", lambda data, spec: AICResult(
+        monkeypatch.setattr(cli, "aic", lambda data, spec, stats=None: AICResult(
             aic=10.0, k=3, max_loglik=-2.0, theta_hat={}, converged=False,
         ))
         out = tmp_path / "cmp.csv"
@@ -234,3 +236,114 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 5
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+class TestInputErrors:
+    """A bad input file is one ``mlevidence: error:`` line on stderr and status 2."""
+
+    BAD = {
+        "nan_cell": ("county,floor,log_radon,log_uranium\nA,0,0.5,0.1\nA,1,nan,0.1\n",
+                     "row 2: non-finite value 'nan' in column 'log_radon'"),
+        "missing_column": ("county,floor,log_radon\nA,0,0.5\n",
+                           "column 'log_uranium' not found in header"),
+        "missing_file": (None, "No such file or directory"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("command", ["evidence", "fit-export"])
+    def test_bad_data_exits_2_with_one_line(self, tmp_path, capsys, command, case):
+        text, message = self.BAD[case]
+        data = tmp_path / "radon.csv"
+        if text is not None:
+            data.write_text(text)
+        argv = [command, "--data", str(data), "--model", "radon:M0", "--particles", "50",
+                "--out", str(tmp_path / "out")]
+        if command == "evidence":
+            argv += ["--runs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("mlevidence: error: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_keeps_an_error_row_per_model(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = main(["compare", "--data", str(tmp_path / "absent.csv"),
+                   "--models", "radon:M0", "radon:M1", "--particles", "50", "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        table = json.loads(out.read_text())["table"]
+        assert [r["model"] for r in table] == ["radon:M0", "radon:M1"]
+        assert len({r["error"] for r in table}) == 1
+        assert table[0]["error"].startswith("FileNotFoundError: ")
+        assert "ERROR" in capsys.readouterr().out
+
+
+def test_compare_reads_its_data_file_once(sim_dir, tmp_path, monkeypatch):
+    """Every model of a compare is fitted to one read of the file, and AIC
+    reuses the evidence run's statistics."""
+    from mlevidence import cli
+
+    loads, aic_stats = [], []
+    load_csv, aic = cli.load_csv, cli.aic
+    monkeypatch.setattr(cli, "load_csv", lambda *args: loads.append(args) or load_csv(*args))
+
+    def kept_aic(data, spec, **kwargs):
+        aic_stats.append(kwargs.get("stats"))
+        return aic(data, spec, **kwargs)
+
+    monkeypatch.setattr(cli, "aic", kept_aic)
+    assert main(["compare", "--data", str(sim_dir / "D0.csv"), "--models", "sim:M0", "sim:M3",
+                 "--particles", "50", "--runs", "1", "--out", str(tmp_path / "cmp.json")]) == 0
+    assert len(loads) == 1
+    assert len(aic_stats) == 2 and all(s is not None for s in aic_stats)
+
+
+def _oracle_dataset_csv(data, t=None):
+    """The dataset CSV as ``csv.writer`` writes it, one ``repr`` cell at a time."""
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["y", "group"] + [f"x{i}" for i in range(data.d)] + [f"z{i}" for i in range(data.m)]
+    writer.writerow(header + (["t"] if t is not None else []))
+    for i in range(data.n):
+        row = [repr(float(data.y[i])), str(int(data.group_of[i]))]
+        row += [repr(float(v)) for v in data.x[i]] + [repr(float(v)) for v in data.z[i]]
+        if t is not None:
+            row.append(repr(float(t[i])))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -3.0, 1e16, 2.0 ** 53]),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2), with_t=st.booleans(),
+       data=st.data())
+def test_property_dataset_csv_matches_csv_writer(tmp_path, n, d, m, with_t, data):
+    cells = data.draw(st.lists(_CELLS, min_size=n * (1 + d + m + 1), max_size=n * (1 + d + m + 1)))
+    v = np.array(cells).reshape(n, 1 + d + m + 1)
+    groups = np.arange(n) % data.draw(st.integers(1, n)) + 1
+    ds = Dataset(y=v[:, 0], x=v[:, 1:1 + d], z=v[:, 1 + d:1 + d + m], group_of=groups)
+    t = v[:, -1] if with_t else None
+    path = tmp_path / "d.csv"
+    _write_dataset_csv(path, ds, t=t)
+    assert path.read_bytes() == _oracle_dataset_csv(ds, t).encode("utf-8")
+
+
+def test_dataset_csv_special_floats_match_csv_writer(tmp_path):
+    """Signed zero, subnormals, 1e300 and integer-valued floats keep their csv.writer text."""
+    y = np.array([-0.0, 5e-324, 1e300, 3.0])
+    x = np.array([[0.0, -2.5e-310], [1e300, -1e300], [2.0 ** 53, 1.0], [-7.0, 1e16]])
+    ds = Dataset(y=y, x=x, z=np.zeros((4, 1)) - 0.0, group_of=[1, 2, 1, 3])
+    path = tmp_path / "d.csv"
+    _write_dataset_csv(path, ds, t=np.array([0.5, -0.0, 1.0, 5e-324]))
+    text = path.read_text()
+    assert text == _oracle_dataset_csv(ds, np.array([0.5, -0.0, 1.0, 5e-324]))
+    assert text.splitlines()[1].startswith("-0.0,1,0.0,-2.5e-310,")

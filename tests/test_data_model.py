@@ -208,3 +208,74 @@ class TestRadonDesign:
         assert raw.floor.dtype == np.int64 and list(raw.floor) == [0, 1, 1]
         assert list(raw.log_radon) == [0.5, 0.3, 0.1]
         assert list(raw.log_uranium) == [0.1, 0.2, 0.1]
+
+
+_PARITY_FILES = {
+    "quoted_numbers": 'y,g,a,b\n"1.5",A,"2",3\n2.25,"B",1,"-4e-3"\n',
+    "padded_cells": "y,g,a,b\n 1.5 , A ,  2,3 \n2.0,B\t,1 , -0.5\n",
+    "blank_rows_counted": "y,g,a,b\n\n1.0,A,1,0\n  , ,,\n\n2.0,B,0,bad\n",
+    "blank_rows_then_valid": "y,g,a,b\n\n1.0,A,1,0\n , \n2.0,B,0,1\n\n",
+    "underscored_number": "y,g,a,b\n1_000,A,1,0\n2.0,B,0,1\n",
+    "nan": "y,g,a,b\n1.0,A,1,0\n2.0,B,nan,1\n",
+    "inf": "y,g,a,b\n1.0,A,1,0\ninf,B,0,1\n",
+    "minus_inf": "y,g,a,b\n1.0,A,1,0\n2.0,B,0,-inf\n",
+    "short_row": "y,g,a,b\n1.0,A,1,0\n2.0,B,0\n",
+    "extra_trailing_column": "y,g,a,b\n1.0,A,1,0,\n2.0,B,0,1,7\n",
+    "blank_group_label": "y,g,a,b\n1.0,A,1,0\n2.0, ,0,1\n",
+    "blank_numeric_cell": "y,g,a,b\n1.0,A,1,0\n2.0,B,,1\n",
+    "radon_floor_half": "county,floor,log_radon,log_uranium\nA,0,0.5,0.1\n\nA,0.5,0.3,0.1\n",
+    "radon_valid": "county,floor,log_radon,log_uranium\n A ,0,0.5,0.1\nB,1.0,\"0.3\",0.2\n",
+}
+
+
+def _read_both(monkeypatch, path, load):
+    """``load(path)`` through the bulk parser and through the per-cell parser alone."""
+    from mlevidence import data_model
+
+    outcomes = []
+    for cells_only in (False, True):
+        with monkeypatch.context() as m:
+            if cells_only:
+                m.setattr(data_model, "_parse_bulk", lambda *args: None)
+            try:
+                outcomes.append(("ok", load(path)))
+            except ValueError as exc:
+                outcomes.append(("error", (type(exc), str(exc), getattr(exc, "row", None))))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_FILES))
+def test_bulk_and_per_cell_parsers_agree(tmp_path, monkeypatch, name):
+    """Both CSV paths give bitwise-equal arrays, or the same error text and row."""
+    p = tmp_path / "d.csv"
+    p.write_text(_PARITY_FILES[name])
+    if name.startswith("radon"):
+        load = load_radon_csv
+        fields = ("floor", "log_radon", "log_uranium")
+    else:
+        load = lambda path: load_csv(path, {"y": "y", "group": "g", "x": ["a"], "z": ["b"]})
+        fields = ("y", "x", "z", "group_of")
+    (kind_bulk, bulk), (kind_cells, cells) = _read_both(monkeypatch, p, load)
+    assert kind_bulk == kind_cells
+    if kind_bulk == "error":
+        assert bulk == cells
+        return
+    for f in fields:
+        a, b = getattr(bulk, f), getattr(cells, f)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f
+    if name.startswith("radon"):
+        assert bulk.county == cells.county
+
+
+def test_bulk_parser_accepts_valid_files_and_defers_bad_ones(tmp_path):
+    """A valid file is read in one bulk pass; a bad one is left to the per-cell path."""
+    from mlevidence.data_model import _parse_bulk
+
+    p = tmp_path / "d.csv"
+    p.write_text(_PARITY_FILES["padded_cells"])
+    values, labels, rownums = _parse_bulk(p, "g", ["y", "a", "b"])
+    assert labels == ["A", "B"] and rownums == [1, 2]
+    assert values.tolist() == [[1.5, 2.0, 3.0], [2.0, 1.0, -0.5]]
+    for bad in ("nan", "short_row", "blank_group_label"):
+        p.write_text(_PARITY_FILES[bad])
+        assert _parse_bulk(p, "g", ["y", "a", "b"]) is None

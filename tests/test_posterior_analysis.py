@@ -158,6 +158,13 @@ class TestAIC:
         ll_ml = aic(data, simple_spec(2)).max_loglik
         assert ll_ml > ll_lm + 10
 
+    @pytest.mark.parametrize("make_spec", [lm_spec, simple_spec, partial(general_spec, m=2)],
+                             ids=["lm", "simple", "general"])
+    def test_callers_stats_give_the_same_result(self, rng, make_spec):
+        data = make_dataset(rng, 80, 2, 2, 4)
+        spec = make_spec(2)
+        assert aic(data, spec, stats=precompute(data)) == aic(data, spec)
+
     def test_general_ml_runs_and_converges(self, rng):
         data = make_dataset(rng, 80, 2, 2, 4)
         res = aic(data, general_spec(2, m=2, sampled_rho=True))

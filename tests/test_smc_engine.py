@@ -246,6 +246,22 @@ class TestRunBatch:
             assert abs(est.runs[k] - logz) < 1e-9
             assert est.stage_counts[k] == cloud.stage
 
+    @pytest.mark.parametrize("make_spec,shape", [
+        (lambda: lm_spec(2), (40, 2, 0, 3)),
+        (lambda: simple_spec(5), (60, 5, 0, 2)),
+        (lambda: general_spec(2, m=2, sampled_rho=True), (40, 2, 2, 3)),
+    ], ids=["linear", "simple_low_rank", "general"])
+    def test_evidence_runs_equal_standalone_runs_exactly(self, make_spec, shape):
+        """Stopping a run at its last increment drops only work after it: each
+        run's evidence and stage count are exactly those of ``run_smc``."""
+        stats = precompute(make_dataset(np.random.default_rng(5), *shape))
+        spec = make_spec()
+        est = estimate_evidence(stats, spec, "integrated", 4, 50, 77)
+        for k in range(4):
+            logz, cloud = run_smc(stats, spec, "integrated", 50, derive_run_seed(77, k))
+            assert est.runs[k] == logz
+            assert est.stage_counts[k] == cloud.stage
+
     def test_runs_with_different_ladders_share_the_batch(self):
         """Runs leave the batch at different stages, and the ones left keep
         their own ladders."""
