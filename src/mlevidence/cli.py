@@ -25,6 +25,7 @@ import numpy as np
 from mlevidence import __version__, model_spec as spec_io
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence.data_model import (
+    RADON_FAMILIES,
     RADON_MODEL_IDS,
     Dataset,
     EmptyDataError,
@@ -79,21 +80,17 @@ def radon_model_spec(model_id, d):
     """Priors of the radon models given the realized design width."""
     if model_id not in RADON_MODEL_IDS:
         raise ValueError(f"unknown radon model id {model_id!r}")
-    mu = np.zeros(d)
-    cov = np.eye(d)
-    if model_id in ("M0", "M1", "M2", "M3"):
-        return ModelSpec(family="LinearModel", prior_mean=mu, prior_cov=cov, ig_y=_RADON_IG)
-    if model_id == "M4":
-        return ModelSpec(
-            family="SimpleMultilevel", prior_mean=mu, prior_cov=cov,
-            ig_y=_RADON_IG, ig_eta=(_RADON_IG,),
+    family = RADON_FAMILIES[model_id]
+    groups = {}
+    if family == "SimpleMultilevel":
+        groups = dict(ig_eta=(_RADON_IG,))
+    elif family == "GeneralMultilevel":
+        groups = dict(
+            ig_eta=(_RADON_IG, _RADON_IG), eta_structure=EtaCovStructure(m=2, pattern=((0, 1),)),
+            corr_prior=CorrelationPrior(kind="truncated_normal"),
         )
-    return ModelSpec(
-        family="GeneralMultilevel", prior_mean=mu, prior_cov=cov,
-        ig_y=_RADON_IG, ig_eta=(_RADON_IG, _RADON_IG),
-        eta_structure=EtaCovStructure(m=2, pattern=((0, 1),)),
-        corr_prior=CorrelationPrior(kind="truncated_normal"),
-    )
+    return ModelSpec(family=family, prior_mean=np.zeros(d), prior_cov=np.eye(d), ig_y=_RADON_IG,
+                     **groups)
 
 
 def _atomic_write(path, text):
@@ -156,7 +153,7 @@ def _read_once():
 
 
 def _resolve_model(model_arg, data_path, read):
-    """(dataset, spec, model_label, deviations) from a builtin id or spec file.
+    """(dataset, spec, model_label, deviations, radon meta or None) from a builtin id or spec file.
 
     Builtin ids take the forms ``sim:M0..sim:M3`` (data is a generic-schema
     CSV from the simulator) and ``radon:M0..radon:M5`` (data is a raw
@@ -384,10 +381,7 @@ def cmd_fit_export(args):
     if not args.model.startswith("radon:"):
         print("fit-export supports the radon builtin models (radon:M0..radon:M5)", file=sys.stderr)
         return 2
-    mid = args.model.split(":", 1)[1]
-    raw = load_radon_csv(args.data)
-    data, meta = build_radon_design(raw, mid)
-    spec = radon_model_spec(mid, data.d)
+    data, spec, _, _, meta = _resolve_model(args.model, args.data, _read_once())
     stats = precompute(data)
     _, cloud = run_smc(stats, spec, "integrated", args.particles, args.seed)
     post = recover_beta_posterior(cloud, stats, spec, "integrated")
@@ -399,7 +393,7 @@ def cmd_fit_export(args):
         bar = cloud.normalized_weights() @ variance_block_to_natural(spec, cloud.particles)
         eta_means = conditional_eta_means(stats, spec, bar, post.mean)
 
-    rows = export_fits(post, data, spec, mid, meta, eta_means=eta_means)
+    rows = export_fits(post, meta, eta_means=eta_means)
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["county", "t", "mean", "sd", "present"], lineterminator="\n"

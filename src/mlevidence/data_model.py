@@ -16,7 +16,12 @@ from operator import itemgetter
 
 import numpy as np
 
-RADON_MODEL_IDS = ("M0", "M1", "M2", "M3", "M4", "M5")
+# The model family of each radon model id.
+RADON_FAMILIES = {
+    "M0": "LinearModel", "M1": "LinearModel", "M2": "LinearModel", "M3": "LinearModel",
+    "M4": "SimpleMultilevel", "M5": "GeneralMultilevel",
+}
+RADON_MODEL_IDS = tuple(RADON_FAMILIES)
 
 
 class SchemaError(ValueError):
@@ -63,10 +68,11 @@ class Dataset:
     n_per_group: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        group = np.asarray(self.group_of, dtype=np.int64)
+        # Copies, so that freezing them leaves the caller's arrays as they were.
+        y = np.array(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        z = np.array(self.z, dtype=float)
+        group = np.array(self.group_of, dtype=np.int64)
         n = y.shape[0]
         if x.ndim != 2 or x.shape[0] != n or x.shape[1] < 1:
             raise ValueError(f"x must be (n, d) with d >= 1, got {x.shape}")
@@ -171,7 +177,11 @@ def _schema_columns(schema):
 
 
 def _data_rows(fh, path, needed):
-    """The header's column index and the numbered rows after it, blank rows skipped but counted."""
+    """The header's column index and the numbered rows after it, blank rows skipped but counted.
+
+    A row with a non-blank cell past the header's columns raises a
+    ``ParseError`` at its row; empty trailing cells are accepted.
+    """
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -182,8 +192,19 @@ def _data_rows(fh, path, needed):
     for name in needed:
         if name not in col_index:
             raise SchemaError(f"column {name!r} not found in header {header}")
-    # A row is blank when all its cells are whitespace, so when their concatenation is.
-    return col_index, ((num, row) for num, row in enumerate(reader, start=1) if "".join(row).strip())
+    return col_index, _numbered_rows(reader, len(header))
+
+
+def _numbered_rows(reader, width):
+    """The non-blank rows and their 1-based numbers; a non-blank cell past the header is an error."""
+    for num, row in enumerate(reader, start=1):
+        # A row is blank when all its cells are whitespace, so when their concatenation is.
+        if not "".join(row).strip():
+            continue
+        if len(row) > width and "".join(row[width:]).strip():
+            extra = next(c for c in row[width:] if c.strip())
+            raise ParseError(f"cell {extra!r} beyond the header's {width} columns", num)
+        yield num, row
 
 
 def _parse_bulk(path, group_col, columns):
@@ -267,12 +288,7 @@ def _read(path, schema):
     if not rownums:
         raise EmptyDataError(f"{path}: no data rows")
     group, _ = _dense_relabel(labels)
-    data = Dataset(
-        y=values[:, 0].copy(),
-        x=values[:, 1:1 + dx].copy(),
-        z=values[:, 1 + dx:].copy(),
-        group_of=group,
-    )
+    data = Dataset(y=values[:, 0], x=values[:, 1:1 + dx], z=values[:, 1 + dx:], group_of=group)
     return data, labels, rownums
 
 
@@ -337,87 +353,79 @@ def load_radon_csv(path):
     )
 
 
-def build_radon_design(raw, model_id, uranium_standardization="county"):
+def build_radon_design(raw, model_id):
     """Construct the model matrix for one of the radon models M0..M5.
 
-    Log radon is standardized row-wise; log uranium is standardized using
-    county-level values by default (``uranium_standardization="county"``)
-    or the row-expanded values (``"row"``).  The choice is recorded in the
-    returned labels.
+    Log radon is standardized row-wise; log uranium is standardized over
+    the county-level values, one per county.
 
     Returns
     -------
     (Dataset, dict)
         The dict carries ``x_labels``, ``z_labels``, ``dropped_columns``
-        (county first-floor columns absent from M3), ``family`` and
-        ``uranium_standardization``.
+        (county first-floor columns absent from M3), ``family``,
+        ``county_names`` and the fitted-line rows of each county at floor
+        t = 0 and t = 1, built by the same column code as the data rows:
+        ``x_fit`` (J, 2, d), NaN where M3 has no first-floor column for the
+        county, and ``z_fit`` (J, 2, m), the group-effect rows (a column of
+        ones for M4's implicit group intercept).
     """
-    if model_id not in RADON_MODEL_IDS:
+    if model_id not in RADON_FAMILIES:
         raise ValueError(f"unknown radon model id {model_id!r}")
-    t = np.asarray(raw.floor, dtype=float)
-    y, _ = standardize(raw.log_radon)
     group, county_names = _dense_relabel(raw.county)
     J = len(county_names)
-    counts = np.bincount(group, minlength=J + 1)[1:]
-    if np.any(counts == 0):
-        raise ValueError("county with zero observations")
+    t = np.asarray(raw.floor, dtype=float)
+    y, _ = standardize(raw.log_radon)
+    u = np.asarray(raw.log_uranium, dtype=float)
+    first = np.unique(group, return_index=True)[1]   # each county's first row
+    _, st_u = standardize(u[first])
+    v = st_u.apply(u)
+    has_first_floor = np.bincount(group, weights=t, minlength=J + 1)[1:] > 0
+    keep = np.flatnonzero(has_first_floor)
 
-    county_u = np.empty(J)
-    for j in range(J):
-        vals = np.asarray(raw.log_uranium)[group == j + 1]
-        county_u[j] = vals[0]
-    if uranium_standardization == "county":
-        _, st_u = standardize(county_u)
-    elif uranium_standardization == "row":
-        _, st_u = standardize(raw.log_uranium)
-    else:
-        raise ValueError("uranium_standardization must be 'county' or 'row'")
-    v = st_u.apply(np.asarray(raw.log_uranium, dtype=float))
+    def columns(group, t, v):
+        """(x, x labels, group-effect rows) of ``model_id`` at rows (county, floor, uranium)."""
+        n = t.shape[0]
+        basement = 1.0 - t
 
-    n = t.shape[0]
-    basement = 1.0 - t
+        def per_county(values):
+            block = np.zeros((n, J))
+            block[np.arange(n), group - 1] = values
+            return block
+
+        if model_id == "M0":
+            x, labels = [basement, t], ["basement", "first_floor"]
+        elif model_id == "M2":
+            x = [per_county(1.0), basement, t]
+            labels = [f"county:{c}" for c in county_names] + ["basement", "first_floor"]
+        elif model_id == "M3":
+            x = [per_county(basement), per_county(t)[:, keep]]
+            labels = [f"basement:{c}" for c in county_names]
+            labels += [f"first_floor:{county_names[j]}" for j in keep]
+        else:
+            x, labels = [basement, t, v], ["basement", "first_floor", "log_uranium"]
+        effects = {"M4": [np.ones(n)], "M5": [basement, t]}.get(model_id)
+        return np.column_stack(x), labels, np.column_stack(effects) if effects else np.zeros((n, 0))
+
+    x, labels, z = columns(group, t, v)
+    x_fit, _, z_fit = columns(
+        np.repeat(np.arange(1, J + 1), 2), np.tile([0.0, 1.0], J), np.repeat(v[first], 2)
+    )
+    x_fit, z_fit = x_fit.reshape(J, 2, -1), z_fit.reshape(J, 2, -1)
+    family = RADON_FAMILIES[model_id]
+    if family != "GeneralMultilevel":
+        z = np.zeros((t.shape[0], 0))   # M4's group intercept is implicit in its family
     meta = {
-        "family": "LinearModel",
-        "z_labels": [],
+        "family": family,
+        "x_labels": labels,
+        "z_labels": ["basement", "first_floor"] if z.shape[1] else [],
         "dropped_columns": [],
-        "uranium_standardization": uranium_standardization,
+        "county_names": list(county_names),
+        "x_fit": x_fit,
+        "z_fit": z_fit,
     }
-    z = np.zeros((n, 0))
-    if model_id == "M0":
-        x = np.column_stack([basement, t])
-        labels = ["basement", "first_floor"]
-    elif model_id == "M1":
-        x = np.column_stack([basement, t, v])
-        labels = ["basement", "first_floor", "log_uranium"]
-    elif model_id == "M2":
-        ind = np.zeros((n, J))
-        ind[np.arange(n), group - 1] = 1.0
-        x = np.column_stack([ind, basement, t])
-        labels = [f"county:{c}" for c in county_names] + ["basement", "first_floor"]
-    elif model_id == "M3":
-        base_block = np.zeros((n, J))
-        base_block[np.arange(n), group - 1] = basement
-        floor_block = np.zeros((n, J))
-        floor_block[np.arange(n), group - 1] = t
-        keep = np.flatnonzero(floor_block.sum(axis=0) > 0)
-        meta["dropped_columns"] = [
-            f"first_floor:{county_names[j]}" for j in range(J) if j not in set(keep)
-        ]
-        x = np.column_stack([base_block, floor_block[:, keep]])
-        labels = [f"basement:{c}" for c in county_names] + [
-            f"first_floor:{county_names[j]}" for j in keep
-        ]
-    elif model_id == "M4":
-        x = np.column_stack([basement, t, v])
-        labels = ["basement", "first_floor", "log_uranium"]
-        meta["family"] = "SimpleMultilevel"
-    else:  # M5
-        x = np.column_stack([basement, t, v])
-        labels = ["basement", "first_floor", "log_uranium"]
-        z = np.column_stack([basement, t])
-        meta["family"] = "GeneralMultilevel"
-        meta["z_labels"] = ["basement", "first_floor"]
-    meta["x_labels"] = labels
-    meta["county_names"] = list(county_names)
-    data = Dataset(y=y, x=x, z=z, group_of=group)
-    return data, meta
+    if model_id == "M3":   # a county without first-floor homes has no first-floor column
+        dropped = np.flatnonzero(~has_first_floor)
+        meta["dropped_columns"] = [f"first_floor:{county_names[j]}" for j in dropped]
+        x_fit[dropped, 1] = np.nan
+    return Dataset(y=y, x=x, z=z, group_of=group), meta

@@ -105,7 +105,8 @@ class ThetaPoint:
             raise ValueError("sigma2_eta must be nonnegative")
         if self.nu is not None:
             variances, rho = self.nu
-            variances = np.asarray(variances, dtype=float)
+            # A copy, so that freezing it leaves the caller's array as it was.
+            variances = np.array(variances, dtype=float)
             if np.any(variances <= 0):
                 raise ValueError("nu variances must be strictly positive")
             if not -1.0 < rho < 1.0:

@@ -194,8 +194,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        mu = np.asarray(self.prior_mean, dtype=float)
-        cov = np.asarray(self.prior_cov, dtype=float)
+        # Copies, so that freezing them leaves the caller's arrays as they were.
+        mu = np.array(self.prior_mean, dtype=float)
+        cov = np.array(self.prior_cov, dtype=float)
         d = mu.shape[0]
         if cov.shape != (d, d):
             raise ValueError("prior_cov must be d x d")

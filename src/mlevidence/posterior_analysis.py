@@ -45,14 +45,17 @@ class PosteriorGaussian:
     source: str  # "mixture-over-trace" or "empirical-from-draws"
 
     def __post_init__(self):
-        if not np.allclose(self.cov, self.cov.T, atol=1e-10, rtol=0.0):
+        # Copies, so that freezing them leaves the caller's arrays as they were.
+        mean, cov = np.array(self.mean, dtype=float), np.array(self.cov, dtype=float)
+        if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
             raise ValueError("cov must be symmetric within 1e-10")
         try:
-            np.linalg.cholesky(self.cov)
+            np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise SingularCovarianceError("posterior covariance is singular") from None
-        self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
+        for name, arr in (("mean", mean), ("cov", cov)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _conditional_blocks(cloud, stats, spec):
@@ -201,12 +204,12 @@ def _profile_loglik_builder(stats, spec):
 _START_FACTORS = (1.0, 0.3, 3.0, 0.1, 10.0)
 
 
-def aic(data, spec, k=None, *, stats=None):
+def aic(data, spec, *, stats=None):
     """Akaike information criterion with profile-likelihood parameter count.
 
-    k defaults to the design width for the single-level families and the
-    design width plus the number of variance-type parameters for the
-    multilevel families.  ``stats``, when given, are ``precompute(data)``
+    k is the design width for the single-level families and the design
+    width plus the number of variance-type parameters for the multilevel
+    families.  ``stats``, when given, are ``precompute(data)``
     already made by the caller.  sigma2_y is profiled out in closed form; the
     multilevel families search the rest with a multi-start Nelder-Mead
     simplex, the starts scaling the ratios of the prior variance means.
@@ -216,8 +219,7 @@ def aic(data, spec, k=None, *, stats=None):
     if stats is None:
         stats = precompute(data)
     layout = spec.layout
-    if k is None:
-        k = stats.d + (layout.n_params if layout.group_width else 0)
+    k = stats.d + (layout.n_params if layout.group_width else 0)
     profile, nvar = _profile_loglik_builder(stats, spec)
 
     log_means = [np.log(ig.mean if np.isfinite(ig.mean) else 1.0) for ig in layout.igs]
@@ -250,7 +252,7 @@ def aic(data, spec, k=None, *, stats=None):
 # Bayes factors and fit export.
 # ---------------------------------------------------------------------------
 
-DEFAULT_BF_BANDS = (
+BF_BANDS = (
     (1.0, "no evidence"),
     (3.0, "positive"),
     (5.0, "strong"),
@@ -265,12 +267,12 @@ class BayesFactor:
     label: str
 
 
-def bayes_factor(est_m, est_n, bands=DEFAULT_BF_BANDS):
+def bayes_factor(est_m, est_n):
     """Log Bayes factor between two evidence estimates with a strength label."""
     log_bf = est_m.mean - est_n.mean
     std = float(np.sqrt(est_m.std ** 2 + est_n.std ** 2))
-    label = bands[-1][1]
-    for cut, name in bands:
+    label = BF_BANDS[-1][1]
+    for cut, name in BF_BANDS:
         if abs(log_bf) < cut:
             label = name
             break
@@ -302,62 +304,28 @@ def conditional_eta_means(stats, spec, row, beta):
     return np.einsum("abj,jb->ja", m_inv[0], resid) / s2y
 
 
-def export_fits(post, data, spec, model_id, meta, eta_means=None, eta_covs=None):
+def export_fits(post, meta, eta_means=None, eta_covs=None):
     """Per-county fitted means and one-sd bands at both floor levels.
 
     Returns a list of dict rows with keys county, t, mean, sd, present.
-    ``meta`` is the label dict produced by the radon design builder.
-    ``eta_means``/``eta_covs`` optionally add group deviations and their
-    spread for the multilevel models.
+    ``meta`` is the dict of :func:`~mlevidence.data_model.build_radon_design`,
+    whose ``x_fit`` and ``z_fit`` hold each county's design and group-effect
+    rows at t = 0 and t = 1; a NaN design row is a line the model does not
+    have.  ``eta_means`` (J, m) and ``eta_covs`` (J, m, m) optionally add the
+    group deviations and their spread.
     """
-    labels = meta["x_labels"]
-    d = len(labels)
-    J = data.J
-    county_names = list(meta.get("county_names", [])) or [str(j + 1) for j in range(J)]
-
-    county_v = np.zeros(J)
-    if "log_uranium" in labels:
-        vcol = labels.index("log_uranium")
-        for j in range(J):
-            county_v[j] = data.x[data.group_of == j + 1][0, vcol]
-
-    dropped = set(meta.get("dropped_columns", []))
+    x, z = meta["x_fit"], meta["z_fit"]
+    mean = x @ post.mean
+    var = np.einsum("jta,jta->jt", x @ post.cov, x)
+    if eta_means is not None:
+        mean += np.einsum("jtm,jm->jt", z, eta_means)
+        if eta_covs is not None:
+            var += np.einsum("jta,jab,jtb->jt", z, eta_covs, z)
+    present = ~np.isnan(x).any(axis=-1)
     rows = []
-    for j in range(J):
-        name = county_names[j]
-        for t in (0, 1):
-            present = True
-            xrow = np.zeros(d)
-            if model_id in ("M0",):
-                xrow[0] = 1.0 - t
-                xrow[1] = float(t)
-            elif model_id in ("M1", "M4", "M5"):
-                xrow[0] = 1.0 - t
-                xrow[1] = float(t)
-                xrow[2] = county_v[j]
-            elif model_id == "M2":
-                xrow[j] = 1.0
-                xrow[J] = 1.0 - t
-                xrow[J + 1] = float(t)
-            elif model_id == "M3":
-                lab = ("basement:" if t == 0 else "first_floor:") + name
-                if lab in dropped:
-                    present = False
-                else:
-                    xrow[labels.index(lab)] = 1.0
-            else:
-                raise ValueError(f"unknown model id {model_id!r}")
-            if not present:
-                rows.append({"county": name, "t": t, "mean": None, "sd": None, "present": False})
-                continue
-            mean = float(xrow @ post.mean)
-            var = float(xrow @ post.cov @ xrow)
-            if eta_means is not None and model_id in ("M4", "M5"):
-                zrow = np.array([1.0]) if model_id == "M4" else np.array([1.0 - t, float(t)])
-                mean += float(zrow @ eta_means[j])
-                if eta_covs is not None:
-                    var += float(zrow @ eta_covs[j] @ zrow)
-            rows.append(
-                {"county": name, "t": t, "mean": mean, "sd": float(np.sqrt(var)), "present": True}
-            )
+    for name, *county in zip(meta["county_names"], present.tolist(), mean.tolist(),
+                             np.sqrt(var).tolist()):
+        for t, (ok, mu, sd) in enumerate(zip(*county)):
+            rows.append({"county": name, "t": t, "mean": mu if ok else None,
+                         "sd": sd if ok else None, "present": ok})
     return rows

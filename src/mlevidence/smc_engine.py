@@ -23,7 +23,10 @@ import numpy as np
 from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
-_SWEEPS_BY_MODE = {"integrated": 10, "full": 25}
+_SWEEPS_BY_MODE = {"integrated": 10, "full": 25}   # MH sweeps per stage
+_ESS_TARGET_FRAC = 0.5   # each step keeps the ESS at this share of the particles
+_RESAMPLE_FRAC = 0.5     # a stage resamples when its ESS falls below this share
+_MAX_STAGES = 1000
 
 
 def _logsumexp(a, axis=-1):
@@ -394,8 +397,7 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
     return U, logprior, loglik, rate, run_rates
 
 
-def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=None,
-               ess_target_frac=0.5, resample_threshold_frac=0.5, max_stages=1000):
+def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     """Tempered SMC runs of one target in lockstep; returns one (log evidence, stages, cloud) per seed.
 
     Each run keeps its own exponent, log weights, increments, stage count,
@@ -416,8 +418,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=Non
         raise ValueError("n_particles must be at least 50")
     if mode not in _SWEEPS_BY_MODE:
         raise ValueError("mode must be 'integrated' or 'full'")
-    if sweeps is None:
-        sweeps = _SWEEPS_BY_MODE[mode]
+    sweeps = _SWEEPS_BY_MODE[mode]
     target = build_target(stats, spec, mode)
     rngs = [np.random.default_rng(int(seed) % 2 ** 64) for seed in seeds]
     R, N, dim = len(seeds), n_particles, target.dim
@@ -436,17 +437,17 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=Non
     while np.any(beta < 1.0):
         a = np.flatnonzero(beta < 1.0)
         stage[a] += 1
-        if np.any(stage[a] > max_stages):
+        if np.any(stage[a] > _MAX_STAGES):
             raise RuntimeError("tempering ladder failed to reach 1")
         lw, ll = logw[a], loglik[a]
         finite = np.any(np.isfinite(lw + ll), axis=1)
         if not np.all(finite):
             raise DegenerateCloudError(int(stage[a][~finite][0]))
         b = beta[a]
-        new_beta = _next_beta(b, lw, ll, ess_target_frac * N)
-        # Floor the step so the ladder always reaches 1 within max_stages:
+        new_beta = _next_beta(b, lw, ll, _ESS_TARGET_FRAC * N)
+        # Floor the step so the ladder always reaches 1 within _MAX_STAGES:
         # badly mixing targets would otherwise stall on vanishing increments.
-        min_step = (1.0 - b) / np.maximum(1, max_stages - stage[a])
+        min_step = (1.0 - b) / np.maximum(1, _MAX_STAGES - stage[a])
         new_beta = np.minimum(1.0, np.maximum(new_beta, b + min_step))
         with np.errstate(invalid="ignore"):
             stepped = lw + (new_beta - b)[:, None] * ll
@@ -465,7 +466,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=Non
         w = np.exp(stepped - norm[:, None])
         w = w / w.sum(axis=1, keepdims=True)
         ess = _ess(stepped)
-        for i in np.flatnonzero(ess < resample_threshold_frac * N):
+        for i in np.flatnonzero(ess < _RESAMPLE_FRAC * N):
             r = a[i]
             idx = systematic_resample(w[i], rngs[r])
             U[r], loglik[r], logprior[r] = U[r][idx], loglik[r][idx], logprior[r][idx]
@@ -475,13 +476,12 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=Non
         logw[a] = stepped
         for r, e in zip(a, ess):
             ess_trace[r].append(float(e))
-        if sweeps > 0:
-            prop_chol = _proposal_chol(U[a], w, dim)
-            Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
-                U[a].reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
-                sweeps, prop_chol, [rngs[r] for r in a],
-            )
-            U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
+        prop_chol = _proposal_chol(U[a], w, dim)
+        Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
+            U[a].reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
+            sweeps, prop_chol, [rngs[r] for r in a],
+        )
+        U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
 
     if not clouds:
         return [(float(np.sum(increments[r])), int(stage[r]), None) for r in range(R)]
@@ -501,8 +501,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True, sweeps=Non
     return results
 
 
-def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
-            ess_target_frac=0.5, resample_threshold_frac=0.5, max_stages=1000):
+def run_smc(stats, spec, mode, n_particles, seed):
     """One tempered-SMC run; returns (log_evidence, ParticleCloud).
 
     Particles are initialized from the prior, the tempering exponent is
@@ -510,10 +509,7 @@ def run_smc(stats, spec, mode, n_particles, seed, *, sweeps=None,
     mean of the incremental weights at every stage.  This is the one-run
     case of the batch that :func:`estimate_evidence` runs.
     """
-    logz, _, cloud = _run_batch(
-        stats, spec, mode, n_particles, [seed], sweeps=sweeps, ess_target_frac=ess_target_frac,
-        resample_threshold_frac=resample_threshold_frac, max_stages=max_stages,
-    )[0]
+    logz, _, cloud = _run_batch(stats, spec, mode, n_particles, [seed])[0]
     return logz, cloud
 
 
@@ -522,7 +518,7 @@ def derive_run_seed(master_seed, run_index):
     return (int(master_seed) ^ (((run_index + 1) * SEED_SPLIT_MULTIPLIER) % 2 ** 64)) % 2 ** 64
 
 
-def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *, sweeps=None):
+def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed):
     """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate.
 
     The runs advance in lockstep as one batch in one process: one
@@ -535,7 +531,7 @@ def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed, *, sw
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     seeds = [derive_run_seed(master_seed, k) for k in range(n_runs)]
-    results = _run_batch(stats, spec, mode, n_particles, seeds, clouds=False, sweeps=sweeps)
+    results = _run_batch(stats, spec, mode, n_particles, seeds, clouds=False)
     return EvidenceEstimate.from_runs(
         [logz for logz, _, _ in results], draws_per_stage=n_particles, likelihood_mode=mode,
         stage_counts=[stages for _, stages, _ in results],

@@ -29,6 +29,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.y[0] = 1.0
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        base = np.zeros(4)
+        x, group = np.ones((3, 1)), np.array([1, 1, 2])
+        data = Dataset(y=base[:3], x=x, z=np.zeros((3, 0)), group_of=group)
+        base[0] = 5.0
+        x[0, 0] = 7.0
+        group[0] = 2
+        assert data.y[0] == 0.0 and data.x[0, 0] == 1.0 and data.group_of[0] == 1
+        assert all(a.flags.writeable for a in (base, x, group))
+
     def test_rejects_sparse_group_labels(self, rng):
         with pytest.raises(ValueError):
             Dataset(
@@ -101,6 +111,15 @@ class TestLoadCsv:
             load_csv(p, self.SCHEMA)
         assert exc.value.row == 2
 
+    def test_cell_past_the_header_reports_row(self, tmp_path):
+        """An empty trailing cell is accepted; a non-blank one fails at its row."""
+        p = self.write(tmp_path, "y,g,a,b\n1.0,A,1,0,\n2.0,B,0,1, \n")
+        assert load_csv(p, self.SCHEMA).n == 2
+        p = self.write(tmp_path, "y,g,a,b\n1.0,A,1,0,\n\n2.0,B,0,1,7\n")
+        with pytest.raises(ParseError, match="cell '7' beyond the header's 4 columns") as exc:
+            load_csv(p, self.SCHEMA)
+        assert exc.value.row == 3
+
     def test_empty_file(self, tmp_path):
         p = self.write(tmp_path, "")
         with pytest.raises(EmptyDataError):
@@ -172,13 +191,6 @@ class TestRadonDesign:
         assert abs(data.y.mean()) < 1e-12
         assert abs(data.y.std(ddof=1) - 1.0) < 1e-12
 
-    def test_county_vs_row_uranium_standardization_differ(self, tmp_path, rng):
-        p = _synthetic_radon(tmp_path, rng, rows_per=7)
-        raw = load_radon_csv(p)
-        d_county, _ = build_radon_design(raw, "M1", uranium_standardization="county")
-        d_row, _ = build_radon_design(raw, "M1", uranium_standardization="row")
-        assert not np.allclose(d_county.x[:, 2], d_row.x[:, 2])
-
     def test_bad_floor_value(self, tmp_path):
         p = _radon_csv(tmp_path, [("A", 2, 0.5, 0.1), ("A", 0, 0.3, 0.1)])
         with pytest.raises(ParseError):
@@ -227,6 +239,11 @@ _PARITY_FILES = {
     "radon_valid": "county,floor,log_radon,log_uranium\n A ,0,0.5,0.1\nB,1.0,\"0.3\",0.2\n",
 }
 
+# The error a file must give through both paths: (type, message, row).
+_PARITY_ERRORS = {
+    "extra_trailing_column": (ParseError, "row 2: cell '7' beyond the header's 4 columns", 2),
+}
+
 
 def _read_both(monkeypatch, path, load):
     """``load(path)`` through the bulk parser and through the per-cell parser alone."""
@@ -257,6 +274,8 @@ def test_bulk_and_per_cell_parsers_agree(tmp_path, monkeypatch, name):
         fields = ("y", "x", "z", "group_of")
     (kind_bulk, bulk), (kind_cells, cells) = _read_both(monkeypatch, p, load)
     assert kind_bulk == kind_cells
+    if name in _PARITY_ERRORS:
+        assert kind_bulk == "error" and bulk == _PARITY_ERRORS[name]
     if kind_bulk == "error":
         assert bulk == cells
         return

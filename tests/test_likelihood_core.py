@@ -77,6 +77,14 @@ class TestPrecompute:
             assert np.array_equal(np.asarray(av), np.asarray(bv)), name
 
 
+def test_theta_point_keeps_a_frozen_copy_of_the_variances():
+    variances = np.array([0.4, 0.6])
+    theta = ThetaPoint(sigma2_y=0.8, nu=(variances, 0.3))
+    variances[0] = 5.0
+    assert variances.flags.writeable and not theta.nu[0].flags.writeable
+    assert theta.nu[0][0] == 0.4
+
+
 class TestFrozenOracles:
     def test_lm_matches_oracle(self):
         stats = precompute(lm_data())

@@ -68,6 +68,14 @@ class TestAssembleSigmaEta:
 
 
 class TestModelSpecValidation:
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        mu, cov = np.zeros(2), np.eye(2)
+        spec = ModelSpec(family="LinearModel", prior_mean=mu, prior_cov=cov, ig_y=IGPrior(3.0, 0.4))
+        mu[0] = cov[0, 0] = 5.0
+        assert mu.flags.writeable and cov.flags.writeable
+        assert spec.prior_mean[0] == 0.0 and spec.prior_cov[0, 0] == 1.0
+        assert not spec.prior_mean.flags.writeable and not spec.prior_cov.flags.writeable
+
     def test_gamma_only_for_nig(self):
         with pytest.raises(ValueError):
             ModelSpec(

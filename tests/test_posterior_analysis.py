@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from mlevidence.data_model import Dataset
+from mlevidence.data_model import Dataset, RadonTable, build_radon_design
 from mlevidence.likelihood_core import LOG_2PI, ThetaPoint, precompute, theta_row
 from mlevidence.analytic_evidence import nig_posterior
 from mlevidence.model_spec import assemble_sigma_eta
@@ -127,6 +127,15 @@ class TestMahalanobis:
         assert mahalanobis(np.ones(2), post) == 0.0
 
 
+def test_posterior_gaussian_keeps_frozen_copies():
+    mean, cov = np.ones(2), np.eye(2)
+    post = PosteriorGaussian(mean=mean, cov=cov, source="x")
+    mean[0] = cov[0, 0] = 5.0
+    assert mean.flags.writeable and cov.flags.writeable
+    assert post.mean[0] == 1.0 and post.cov[0, 0] == 1.0
+    assert not post.mean.flags.writeable and not post.cov.flags.writeable
+
+
 class TestAIC:
     def test_lm_matches_ols_closed_form(self, rng):
         data = make_dataset(rng, 200, 3, 0, 2)
@@ -139,10 +148,6 @@ class TestAIC:
         assert abs(res.max_loglik - ll) < 1e-5
         assert res.k == 3
         assert np.isclose(res.aic, 2 * 3 - 2 * ll, atol=1e-4)
-
-    def test_k_override(self, rng):
-        data = make_dataset(rng, 50, 2, 0, 2)
-        assert aic(data, lm_spec(2), k=7).k == 7
 
     def test_multilevel_k_counts_variances(self, rng):
         data = make_dataset(rng, 60, 2, 0, 3)
@@ -241,11 +246,6 @@ class TestBayesFactor:
         assert np.isclose(bf.std, 0.5)
         assert bf.label == "strong"
 
-    def test_custom_bands(self):
-        bands = ((2.0, "weak"), (np.inf, "decisive"))
-        assert bayes_factor(self.est(-1.0), self.est(-2.0), bands=bands).label == "weak"
-        assert bayes_factor(self.est(-1.0), self.est(-9.0), bands=bands).label == "decisive"
-
 
 class TestConditionalEtaMeans:
     def test_simple_shrinkage_toward_zero(self, rng):
@@ -287,46 +287,55 @@ class TestConditionalEtaMeans:
 
 
 class TestExportFits:
-    def _post(self, d):
-        return PosteriorGaussian(mean=np.arange(1.0, d + 1), cov=np.eye(d), source="x")
+    """Fitted lines from ``build_radon_design``'s fit rows, on three counties:
+    A and C have homes on both floors, B only basements."""
 
-    def test_m0_pooled_fit_identical_across_counties(self, rng):
-        data = make_dataset(rng, 20, 2, 0, 4)
-        meta = {"x_labels": ["basement", "first_floor"], "county_names": list("ABCD")}
-        rows = export_fits(self._post(2), data, lm_spec(2), "M0", meta)
-        assert len(rows) == 8
-        means_t0 = {r["mean"] for r in rows if r["t"] == 0}
-        assert len(means_t0) == 1  # complete pooling
-        assert {r["county"] for r in rows} == set("ABCD")
+    RAW = RadonTable(
+        county=("A", "A", "B", "B", "C", "A", "C"),
+        floor=np.array([0, 1, 0, 0, 1, 0, 0]),
+        log_radon=np.array([0.3, -0.2, 1.1, 0.8, 0.1, 0.5, -0.4]),
+        log_uranium=np.array([0.2, 0.2, -0.7, -0.7, 0.9, 0.2, 0.9]),
+    )
 
-    def test_m3_absent_first_floor_flagged(self, rng):
-        data = make_dataset(rng, 20, 3, 0, 2)
-        meta = {
-            "x_labels": ["basement:A", "basement:B", "first_floor:A"],
-            "county_names": ["A", "B"],
-            "dropped_columns": ["first_floor:B"],
-        }
-        rows = export_fits(self._post(3), data, lm_spec(3), "M3", meta)
-        missing = [r for r in rows if not r["present"]]
-        assert len(missing) == 1
-        assert missing[0]["county"] == "B" and missing[0]["t"] == 1
-        assert missing[0]["mean"] is None
+    def fits(self, model_id, **eta):
+        data, meta = build_radon_design(self.RAW, model_id)
+        post = PosteriorGaussian(mean=np.linspace(-1.0, 2.0, data.d), cov=np.eye(data.d), source="x")
+        fits = {(r["county"], r["t"]): r for r in export_fits(post, meta, **eta)}
+        return data, post, fits
 
-    def test_m4_includes_group_deviation(self, rng):
-        data = make_dataset(rng, 20, 3, 0, 2)
-        meta = {
-            "x_labels": ["basement", "first_floor", "log_uranium"],
-            "county_names": ["A", "B"],
-        }
-        eta = np.array([[1.0], [-1.0]])
-        rows_with = export_fits(
-            self._post(3), data, simple_spec(3), "M4", meta, eta_means=eta
-        )
-        rows_without = export_fits(self._post(3), data, simple_spec(3), "M4", meta)
-        a = {(r["county"], r["t"]): r["mean"] for r in rows_with}
-        b = {(r["county"], r["t"]): r["mean"] for r in rows_without}
-        assert np.isclose(a[("A", 0)] - b[("A", 0)], 1.0)
-        assert np.isclose(a[("B", 1)] - b[("B", 1)], -1.0)
+    def test_m0_pooled_fit_identical_across_counties(self):
+        _, _, fits = self.fits("M0")
+        assert len(fits) == 6 and {c for c, _ in fits} == set("ABC")
+        for t in (0, 1):
+            assert len({fits[c, t]["mean"] for c in "ABC"}) == 1  # complete pooling
+
+    def test_m3_absent_first_floor_flagged(self):
+        _, _, fits = self.fits("M3")
+        missing = [key for key, r in fits.items() if not r["present"]]
+        assert missing == [("B", 1)]
+        assert fits["B", 1]["mean"] is None and fits["B", 1]["sd"] is None
+        assert fits["B", 0]["present"]
+
+    def test_m4_includes_group_deviation(self):
+        eta = np.array([[1.0], [-1.0], [0.5]])
+        _, _, with_eta = self.fits("M4", eta_means=eta)
+        _, _, without = self.fits("M4")
+        assert np.isclose(with_eta["A", 0]["mean"] - without["A", 0]["mean"], 1.0)
+        assert np.isclose(with_eta["B", 1]["mean"] - without["B", 1]["mean"], -1.0)
+
+    @pytest.mark.parametrize("model_id", ["M2", "M5"])
+    def test_lines_match_the_data_rows_of_a_county(self, model_id):
+        """County A's homes at t = 0 (row 0) and t = 1 (row 1) lie on its fitted lines."""
+        eta = np.array([[0.4, -0.3], [0.2, 0.1], [-0.5, 0.6]])
+        eta_covs = np.stack([np.eye(2) * s for s in (0.1, 0.2, 0.3)])
+        extra = dict(eta_means=eta, eta_covs=eta_covs) if model_id == "M5" else {}
+        data, post, fits = self.fits(model_id, **extra)
+        for t in (0, 1):
+            x = data.x[t]
+            mean, var = x @ post.mean, x @ post.cov @ x
+            if model_id == "M5":
+                mean, var = mean + data.z[t] @ eta[0], var + data.z[t] @ eta_covs[0] @ data.z[t]
+            assert np.isclose(fits["A", t]["mean"], mean) and np.isclose(fits["A", t]["sd"], np.sqrt(var))
 
 
 class TestMahalanobisNotPositiveDefinite:
