@@ -237,21 +237,16 @@ def _adaptive_log_integral(log_joint, k, *, target, max_order, start=None):
     return prev, np.inf
 
 
-def quadrature_evidence(data, spec, *, fixed_theta=None, target=1e-8, max_order=160):
+def quadrature_evidence(data, spec, *, target=1e-8, max_order=160):
     """Numerical model evidence for oracle-sized instances.
 
     Integrates the full likelihood times all priors.  Variance components
-    are integrated on the log scale (with the Jacobian); ``fixed_theta``
-    conditions on a variance point instead, reducing to the integrated
-    likelihood.  Returns ``(log_value, achieved_error)``.
+    are integrated on the log scale (with the Jacobian); for the integrated
+    likelihood at one variance point, see :func:`quadrature_log_integrated`.
+    Returns ``(log_value, achieved_error)``.
     """
     from scipy.linalg import cholesky, solve_triangular
     from scipy.special import gammaln
-
-    if fixed_theta is not None:
-        return quadrature_log_integrated(
-            data, spec, fixed_theta, target=target, max_order=max_order
-        )
 
     d, J, meff = _latent_layout(data, spec)
     if spec.layout.rho_sampled:

@@ -31,6 +31,7 @@ from mlevidence.data_model import (
     EmptyDataError,
     ParseError,
     SchemaError,
+    UnknownModelError,
     build_radon_design,
     load_csv,
     load_radon_csv,
@@ -79,7 +80,7 @@ _DEVIATIONS = {
 def radon_model_spec(model_id, d):
     """Priors of the radon models given the realized design width."""
     if model_id not in RADON_MODEL_IDS:
-        raise ValueError(f"unknown radon model id {model_id!r}")
+        raise UnknownModelError(f"unknown radon model id {model_id!r}")
     family = RADON_FAMILIES[model_id]
     groups = {}
     if family == "SimpleMultilevel":
@@ -344,7 +345,10 @@ def cmd_compare(args):
     payload["manifest_digest"] = man["config_digest"]
     if args.out:
         if str(args.out).endswith(".csv"):
-            _write_compare_csv(args.out, rows)
+            _write_csv(args.out, [
+                "model", "evidence_rank", "log_evidence", "std", "aic", "aic_rank", "k",
+                "aic_converged", "error",
+            ], rows)
             _atomic_write(str(args.out) + ".json", _json_dumps(payload))
         else:
             _atomic_write(args.out, _json_dumps(payload))
@@ -363,16 +367,12 @@ def cmd_compare(args):
     return 0 if all(r["error"] is None for r in rows) else 1
 
 
-def _write_compare_csv(path, rows):
+def _write_csv(path, fieldnames, rows):
+    """A header of ``fieldnames`` and each dict row's values under it; other keys are left out."""
     buf = io.StringIO()
-    cols = [
-        "model", "evidence_rank", "log_evidence", "std", "aic", "aic_rank", "k",
-        "aic_converged", "error",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
-    for r in rows:
-        writer.writerow(r)
+    writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -394,11 +394,7 @@ def cmd_fit_export(args):
         eta_means = conditional_eta_means(stats, spec, bar, post.mean)
 
     rows = export_fits(post, meta, eta_means=eta_means)
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["county", "t", "mean", "sd", "present"], lineterminator="\n"
-    )
-    writer.writeheader()
+    out_rows = []
     for r in rows:
         out_row = dict(r)
         if out_row["present"]:
@@ -406,8 +402,8 @@ def cmd_fit_export(args):
             out_row["sd"] = f"{out_row['sd']:.6f}"
         else:
             out_row["mean"] = out_row["sd"] = ""
-        writer.writerow(out_row)
-    _atomic_write(args.out, buf.getvalue())
+        out_rows.append(out_row)
+    _write_csv(args.out, ["county", "t", "mean", "sd", "present"], out_rows)
     config = {
         "data": str(args.data), "model": args.model,
         "particles": args.particles, "seed": int(args.seed),
@@ -462,11 +458,12 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; an unreadable or malformed input file is one line on stderr and status 2."""
+    """Run one command; an unreadable or malformed input file, or an unknown
+    builtin model id, is one line on stderr and status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, SchemaError, EmptyDataError) as exc:
+    except (OSError, ParseError, SchemaError, EmptyDataError, UnknownModelError) as exc:
         print(f"mlevidence: error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,6 +44,10 @@ class ZeroVarianceError(ValueError):
     """Standardization was requested for a constant column."""
 
 
+class UnknownModelError(ValueError):
+    """A model id names none of the builtin models."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable regression dataset with group structure.
@@ -176,117 +180,84 @@ def _schema_columns(schema):
     return schema["group"], [schema["y"]] + x_cols + z_cols, len(x_cols)
 
 
-def _data_rows(fh, path, needed):
-    """The header's column index and the numbered rows after it, blank rows skipped but counted.
+def _checked_row(row, rownum, col_index, group_col, columns):
+    """One row's numeric cells and group label, read cell by cell in the order y, group, x, z.
 
-    A row with a non-blank cell past the header's columns raises a
-    ``ParseError`` at its row; empty trailing cells are accepted.
+    A missing, blank, non-numeric or non-finite cell raises a
+    ``ParseError`` naming its column and row.
     """
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataError(f"{path}: file is empty") from None
-    header = [h.strip() for h in header]
-    col_index = {name: i for i, name in enumerate(header)}
-    for name in needed:
-        if name not in col_index:
-            raise SchemaError(f"column {name!r} not found in header {header}")
-    return col_index, _numbered_rows(reader, len(header))
 
-
-def _numbered_rows(reader, width):
-    """The non-blank rows and their 1-based numbers; a non-blank cell past the header is an error."""
-    for num, row in enumerate(reader, start=1):
-        # A row is blank when all its cells are whitespace, so when their concatenation is.
-        if not "".join(row).strip():
-            continue
-        if len(row) > width and "".join(row[width:]).strip():
-            extra = next(c for c in row[width:] if c.strip())
-            raise ParseError(f"cell {extra!r} beyond the header's {width} columns", num)
-        yield num, row
-
-
-def _parse_bulk(path, group_col, columns):
-    """Each row's numeric cells converted in one call, checked finite at the end.
-
-    Returns ``(values, labels, rownums)`` as :func:`_parse_cells` does,
-    or None at the first cell that call or check rejects.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        col_index, rows = _data_rows(fh, path, [columns[0], group_col] + columns[1:])
-        numeric = itemgetter(*(col_index[c] for c in columns))
-        gi = col_index[group_col]
-        values = array("d")
-        labels, rownums = [], []
+    def cell(name):
         try:
-            for rownum, row in rows:
-                values.extend(map(float, numeric(row)))
-                label = row[gi].strip()
-                if not label:
-                    return None
-                labels.append(label)
-                rownums.append(rownum)
-        except (ValueError, IndexError):
-            return None
-    values = np.frombuffer(values, dtype=float).reshape(len(rownums), len(columns))
-    if not np.isfinite(values).all():
-        return None
-    return values, labels, rownums
+            raw = row[col_index[name]]
+        except IndexError:
+            raise ParseError(f"missing value for column {name!r}", rownum) from None
+        if raw.strip() == "":
+            raise ParseError(f"blank value in column {name!r}", rownum)
+        return raw.strip()
 
+    def num(name):
+        raw = cell(name)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"non-numeric value {raw!r} in column {name!r}", rownum) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {raw!r} in column {name!r}", rownum)
+        return value
 
-def _parse_cells(path, group_col, columns):
-    """The numeric cells (n, k), group labels as written and 1-based numbers of the non-blank rows.
-
-    Read cell by cell, so that a missing, blank, non-numeric or
-    non-finite cell raises a ``ParseError`` naming its column and row.
-    """
-    y_col, other = columns[0], columns[1:]
-    with open(path, newline="", encoding="utf-8") as fh:
-        col_index, rows = _data_rows(fh, path, [y_col, group_col] + other)
-        values, labels, rownums = [], [], []
-        for rownum, row in rows:
-
-            def cell(name):
-                try:
-                    raw = row[col_index[name]]
-                except IndexError:
-                    raise ParseError(f"missing value for column {name!r}", rownum) from None
-                if raw.strip() == "":
-                    raise ParseError(f"blank value in column {name!r}", rownum)
-                return raw.strip()
-
-            def num(name):
-                raw = cell(name)
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(f"non-numeric value {raw!r} in column {name!r}", rownum) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite value {raw!r} in column {name!r}", rownum)
-                return value
-
-            y = num(y_col)
-            labels.append(cell(group_col))
-            values.append([y] + [num(c) for c in other])
-            rownums.append(rownum)
-    return np.array(values, dtype=float).reshape(len(rownums), len(columns)), labels, rownums
+    y = num(columns[0])
+    label = cell(group_col)
+    return [y] + [num(c) for c in columns[1:]], label
 
 
 def _read(path, schema):
     """:func:`load_csv`'s Dataset, each row's group label as written, and each row's number.
 
-    Rows are parsed in bulk; a file the bulk pass rejects is read again
-    cell by cell, which raises the error naming the first bad cell and
-    its row.
+    Each row's numeric cells are converted in one call and checked finite
+    through their sum; only a row that fails is read again cell by cell,
+    which raises the error naming its first bad cell.  Blank rows are
+    skipped but counted, and a non-blank cell past the header's columns is
+    an error; empty trailing cells are accepted.
     """
     group_col, columns, dx = _schema_columns(schema)
-    parsed = _parse_bulk(path, group_col, columns)
-    if parsed is None:
-        parsed = _parse_cells(path, group_col, columns)
-    values, labels, rownums = parsed
+    values = array("d")
+    labels, rownums = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyDataError(f"{path}: file is empty") from None
+        col_index = {name: i for i, name in enumerate(header)}
+        for name in [columns[0], group_col] + columns[1:]:
+            if name not in col_index:
+                raise SchemaError(f"column {name!r} not found in header {header}")
+        width = len(header)
+        numeric = itemgetter(*(col_index[c] for c in columns))
+        gi = col_index[group_col]
+        for rownum, row in enumerate(reader, start=1):
+            # A row is blank when all its cells are whitespace, so when their concatenation is.
+            if not "".join(row).strip():
+                continue
+            if len(row) > width and "".join(row[width:]).strip():
+                extra = next(c for c in row[width:] if c.strip())
+                raise ParseError(f"cell {extra!r} beyond the header's {width} columns", rownum)
+            try:
+                cells = tuple(map(float, numeric(row)))
+                label = row[gi].strip()
+            except (ValueError, IndexError):
+                cells = label = None
+            # Any non-finite cell makes the sum non-finite; finite cells whose
+            # sum overflows are checked, found clean and kept.
+            if not (label and math.isfinite(sum(cells))):
+                cells, label = _checked_row(row, rownum, col_index, group_col, columns)
+            values.extend(cells)
+            labels.append(label)
+            rownums.append(rownum)
     if not rownums:
         raise EmptyDataError(f"{path}: no data rows")
+    values = np.frombuffer(values, dtype=float).reshape(len(rownums), len(columns))
     group, _ = _dense_relabel(labels)
     data = Dataset(y=values[:, 0], x=values[:, 1:1 + dx], z=values[:, 1 + dx:], group_of=group)
     return data, labels, rownums
@@ -371,7 +342,7 @@ def build_radon_design(raw, model_id):
         ones for M4's implicit group intercept).
     """
     if model_id not in RADON_FAMILIES:
-        raise ValueError(f"unknown radon model id {model_id!r}")
+        raise UnknownModelError(f"unknown radon model id {model_id!r}")
     group, county_names = _dense_relabel(raw.county)
     J = len(county_names)
     t = np.asarray(raw.floor, dtype=float)

@@ -176,6 +176,16 @@ class CoefPrior(NamedTuple):
         return cls(np.zeros((d, d)), 0.0, None)
 
 
+def _tril_mirror(k):
+    """``(ti, tj, mirror)``: the (i, j) of the k x k lower triangle, entry by
+    entry, and for each entry of a flattened k x k matrix the index of its
+    lower-triangle entry."""
+    ti, tj = np.tril_indices(k)
+    mirror = np.empty((k, k), dtype=np.intp)
+    mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
+    return ti, tj, mirror.ravel()
+
+
 class LowRank(NamedTuple):
     """A rank-r correction ``V`` (P, r, d') kept as per-row scales of shared rows.
 
@@ -198,11 +208,9 @@ class LowRank(NamedTuple):
     def of(cls, rows):
         """The shared part, built once per kernel; ``scaled`` gives a block its V."""
         r = rows.shape[0]
-        ti, tj = np.tril_indices(r + 1)
-        mirror = np.empty((r + 1, r + 1), dtype=np.intp)
-        mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
+        ti, tj, mirror = _tril_mirror(r + 1)
         ti, tj = ti[ti < r], tj[ti < r]
-        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror.ravel())
+        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror)
 
     def scaled(self, scale):
         return self._replace(scale=scale)
@@ -523,7 +531,7 @@ def _dense_assembly(stats, eig, R):
     basis, lam, p, a, b = eig
     k = lam.size + 1
     bases = np.stack([_border(p * np.eye(k - 1), a, a @ a), _border(np.diag(lam), b, stats.sum_yy)])
-    ti, tj = np.tril_indices(k)
+    ti, tj, mirror = _tril_mirror(k)
     ga, gb = np.tril_indices(R.shape[1])
     rows = [bases[:, ti, tj]]
     for i, j in zip(ga, gb):
@@ -532,9 +540,6 @@ def _dense_assembly(stats, eig, R):
             pair += R[:, j, ti] * R[:, i, tj]
         rows.append(pair)
     design = np.concatenate(rows)
-    mirror = np.empty((k, k), dtype=np.intp)
-    mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
-    mirror = mirror.ravel()
     d = k - 1
 
     def dense(s2y, W, logdet, ok):

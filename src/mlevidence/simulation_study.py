@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mlevidence.data_model import Dataset
+from mlevidence.data_model import Dataset, UnknownModelError
 from mlevidence.model_spec import (
     CorrelationPrior,
     EtaCovStructure,
@@ -220,7 +220,7 @@ def generate_dataset(which, cfg, rng):
 def builtin_model_specs(which, cfg=SimConfig()):
     """Priors of the study models M0..M3."""
     if which not in MODEL_IDS:
-        raise ValueError(f"unknown model id {which!r}")
+        raise UnknownModelError(f"unknown model id {which!r}")
     d = cfg.d
     mu = np.zeros(d)
     cov = cfg.prior_cov()

@@ -118,14 +118,6 @@ class TestQuadratureOracle:
         assert np.isfinite(val)
         assert err < 1e-8
 
-    def test_fixed_theta_equals_integrated_oracle(self, rng):
-        data = make_dataset(rng, 5, 2, 0, 1)
-        spec = lm_spec(2)
-        theta = ThetaPoint(sigma2_y=0.8)
-        a, _ = quadrature_evidence(data, spec, fixed_theta=theta)
-        b, _ = quadrature_log_integrated(data, spec, theta)
-        assert a == b
-
     def test_sampled_correlation_rejected(self, rng):
         data = make_dataset(rng, 4, 1, 2, 1)
         spec = general_spec(1, m=2, sampled_rho=True)

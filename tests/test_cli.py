@@ -266,6 +266,22 @@ class TestInputErrors:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, model, message", [
+        ("evidence", "sim:M9", "unknown model id 'M9'"),
+        ("evidence", "radon:M9", "unknown radon model id 'M9'"),
+        ("fit-export", "radon:M9", "unknown radon model id 'M9'"),
+    ])
+    def test_unknown_builtin_id_exits_2_with_one_line(self, tmp_path, capsys, command, model,
+                                                      message):
+        data = tmp_path / "radon.csv"
+        data.write_text("county,floor,log_radon,log_uranium\nA,0,0.5,0.1\nA,1,0.3,0.1\n")
+        argv = [command, "--data", str(data), "--model", model, "--particles", "50",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"mlevidence: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_compare_keeps_an_error_row_per_model(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         rc = main(["compare", "--data", str(tmp_path / "absent.csv"),

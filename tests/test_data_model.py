@@ -222,79 +222,111 @@ class TestRadonDesign:
         assert list(raw.log_uranium) == [0.1, 0.2, 0.1]
 
 
-_PARITY_FILES = {
-    "quoted_numbers": 'y,g,a,b\n"1.5",A,"2",3\n2.25,"B",1,"-4e-3"\n',
-    "padded_cells": "y,g,a,b\n 1.5 , A ,  2,3 \n2.0,B\t,1 , -0.5\n",
-    "blank_rows_counted": "y,g,a,b\n\n1.0,A,1,0\n  , ,,\n\n2.0,B,0,bad\n",
-    "blank_rows_then_valid": "y,g,a,b\n\n1.0,A,1,0\n , \n2.0,B,0,1\n\n",
-    "underscored_number": "y,g,a,b\n1_000,A,1,0\n2.0,B,0,1\n",
-    "nan": "y,g,a,b\n1.0,A,1,0\n2.0,B,nan,1\n",
-    "inf": "y,g,a,b\n1.0,A,1,0\ninf,B,0,1\n",
-    "minus_inf": "y,g,a,b\n1.0,A,1,0\n2.0,B,0,-inf\n",
-    "short_row": "y,g,a,b\n1.0,A,1,0\n2.0,B,0\n",
-    "extra_trailing_column": "y,g,a,b\n1.0,A,1,0,\n2.0,B,0,1,7\n",
-    "blank_group_label": "y,g,a,b\n1.0,A,1,0\n2.0, ,0,1\n",
-    "blank_numeric_cell": "y,g,a,b\n1.0,A,1,0\n2.0,B,,1\n",
-    "radon_floor_half": "county,floor,log_radon,log_uranium\nA,0,0.5,0.1\n\nA,0.5,0.3,0.1\n",
-    "radon_valid": "county,floor,log_radon,log_uranium\n A ,0,0.5,0.1\nB,1.0,\"0.3\",0.2\n",
+_GENERIC_SCHEMA = {"y": "y", "group": "g", "x": ["a"], "z": ["b"]}
+
+# Each file's outcome: the arrays it reads to, bit for bit, or the error
+# (type, message, row) it raises.  A file named radon_* is read by
+# load_radon_csv, any other by load_csv with _GENERIC_SCHEMA.
+_READER_CASES = {
+    "quoted_numbers": (
+        'y,g,a,b\n"1.5",A,"2",3\n2.25,"B",1,"-4e-3"\n',
+        {"y": [1.5, 2.25], "x": [[2.0], [1.0]], "z": [[3.0], [-0.004]], "group_of": [1, 2]},
+    ),
+    "padded_cells": (
+        "y,g,a,b\n 1.5 , A ,  2,3 \n2.0,B\t,1 , -0.5\n",
+        {"y": [1.5, 2.0], "x": [[2.0], [1.0]], "z": [[3.0], [-0.5]], "group_of": [1, 2]},
+    ),
+    "blank_rows_counted": (
+        "y,g,a,b\n\n1.0,A,1,0\n  , ,,\n\n2.0,B,0,bad\n",
+        (ParseError, "row 5: non-numeric value 'bad' in column 'b'", 5),
+    ),
+    "blank_rows_then_valid": (
+        "y,g,a,b\n\n1.0,A,1,0\n , \n2.0,B,0,1\n\n",
+        {"y": [1.0, 2.0], "x": [[1.0], [0.0]], "z": [[0.0], [1.0]], "group_of": [1, 2]},
+    ),
+    "underscored_number": (
+        "y,g,a,b\n1_000,A,1,0\n2.0,B,0,1\n",
+        {"y": [1000.0, 2.0], "x": [[1.0], [0.0]], "z": [[0.0], [1.0]], "group_of": [1, 2]},
+    ),
+    "nan": (
+        "y,g,a,b\n1.0,A,1,0\n2.0,B,nan,1\n",
+        (ParseError, "row 2: non-finite value 'nan' in column 'a'", 2),
+    ),
+    "inf": (
+        "y,g,a,b\n1.0,A,1,0\ninf,B,0,1\n",
+        (ParseError, "row 2: non-finite value 'inf' in column 'y'", 2),
+    ),
+    "minus_inf": (
+        "y,g,a,b\n1.0,A,1,0\n2.0,B,0,-inf\n",
+        (ParseError, "row 2: non-finite value '-inf' in column 'b'", 2),
+    ),
+    "short_row": (
+        "y,g,a,b\n1.0,A,1,0\n2.0,B,0\n",
+        (ParseError, "row 2: missing value for column 'b'", 2),
+    ),
+    "extra_trailing_column": (
+        "y,g,a,b\n1.0,A,1,0,\n2.0,B,0,1,7\n",
+        (ParseError, "row 2: cell '7' beyond the header's 4 columns", 2),
+    ),
+    "blank_group_label": (
+        "y,g,a,b\n1.0,A,1,0\n2.0, ,0,1\n",
+        (ParseError, "row 2: blank value in column 'g'", 2),
+    ),
+    "blank_numeric_cell": (
+        "y,g,a,b\n1.0,A,1,0\n2.0,B,,1\n",
+        (ParseError, "row 2: blank value in column 'a'", 2),
+    ),
+    "radon_floor_half": (
+        "county,floor,log_radon,log_uranium\nA,0,0.5,0.1\n\nA,0.5,0.3,0.1\n",
+        (ParseError, "row 3: floor must be 0 or 1", 3),
+    ),
+    "radon_valid": (
+        "county,floor,log_radon,log_uranium\n A ,0,0.5,0.1\nB,1.0,\"0.3\",0.2\n",
+        {"county": ("A", "B"), "floor": [0, 1], "log_radon": [0.5, 0.3], "log_uranium": [0.1, 0.2]},
+    ),
+    # The first bad row is reported, even when a later row fails another way.
+    "two_bad_rows": (
+        "y,g,a,b\n1.0,A,1,0\n2.0,B,nan,1\n3.0,C,0,1\n4.0,D,bad,1\n",
+        (ParseError, "row 2: non-finite value 'nan' in column 'a'", 2),
+    ),
+    # Finite cells whose sum overflows are valid.
+    "sum_overflows": (
+        "y,g,a,b\n1e308,A,1e308,0\n",
+        {"y": [1e308], "x": [[1e308]], "z": [[0.0]], "group_of": [1]},
+    ),
+    # A blank first line is an empty header, not an empty file.
+    "blank_first_line": (
+        "\ny,g,a,b\n1.0,A,1,0\n",
+        (SchemaError, "column 'y' not found in header []", None),
+    ),
 }
 
-# The error a file must give through both paths: (type, message, row).
-_PARITY_ERRORS = {
-    "extra_trailing_column": (ParseError, "row 2: cell '7' beyond the header's 4 columns", 2),
-}
+_INTEGER_FIELDS = ("group_of", "floor")
 
 
-def _read_both(monkeypatch, path, load):
-    """``load(path)`` through the bulk parser and through the per-cell parser alone."""
-    from mlevidence import data_model
-
-    outcomes = []
-    for cells_only in (False, True):
-        with monkeypatch.context() as m:
-            if cells_only:
-                m.setattr(data_model, "_parse_bulk", lambda *args: None)
-            try:
-                outcomes.append(("ok", load(path)))
-            except ValueError as exc:
-                outcomes.append(("error", (type(exc), str(exc), getattr(exc, "row", None))))
-    return outcomes
-
-
-@pytest.mark.parametrize("name", sorted(_PARITY_FILES))
-def test_bulk_and_per_cell_parsers_agree(tmp_path, monkeypatch, name):
-    """Both CSV paths give bitwise-equal arrays, or the same error text and row."""
+@pytest.mark.parametrize("name", sorted(_READER_CASES))
+def test_reader_outcome(tmp_path, name):
+    """Each file reads to bitwise-equal arrays and labels, or to the same error type, message and row."""
+    text, expected = _READER_CASES[name]
     p = tmp_path / "d.csv"
-    p.write_text(_PARITY_FILES[name])
+    p.write_text(text)
     if name.startswith("radon"):
         load = load_radon_csv
-        fields = ("floor", "log_radon", "log_uranium")
     else:
-        load = lambda path: load_csv(path, {"y": "y", "group": "g", "x": ["a"], "z": ["b"]})
-        fields = ("y", "x", "z", "group_of")
-    (kind_bulk, bulk), (kind_cells, cells) = _read_both(monkeypatch, p, load)
-    assert kind_bulk == kind_cells
-    if name in _PARITY_ERRORS:
-        assert kind_bulk == "error" and bulk == _PARITY_ERRORS[name]
-    if kind_bulk == "error":
-        assert bulk == cells
+        load = lambda path: load_csv(path, _GENERIC_SCHEMA)
+    if isinstance(expected, tuple):
+        kind, message, row = expected
+        with pytest.raises(ValueError) as exc:
+            load(p)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message and getattr(exc.value, "row", None) == row
         return
-    for f in fields:
-        a, b = getattr(bulk, f), getattr(cells, f)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f
-    if name.startswith("radon"):
-        assert bulk.county == cells.county
-
-
-def test_bulk_parser_accepts_valid_files_and_defers_bad_ones(tmp_path):
-    """A valid file is read in one bulk pass; a bad one is left to the per-cell path."""
-    from mlevidence.data_model import _parse_bulk
-
-    p = tmp_path / "d.csv"
-    p.write_text(_PARITY_FILES["padded_cells"])
-    values, labels, rownums = _parse_bulk(p, "g", ["y", "a", "b"])
-    assert labels == ["A", "B"] and rownums == [1, 2]
-    assert values.tolist() == [[1.5, 2.0, 3.0], [2.0, 1.0, -0.5]]
-    for bad in ("nan", "short_row", "blank_group_label"):
-        p.write_text(_PARITY_FILES[bad])
-        assert _parse_bulk(p, "g", ["y", "a", "b"]) is None
+    got = load(p)
+    for field, values in expected.items():
+        actual = getattr(got, field)
+        if field == "county":
+            assert actual == values
+            continue
+        want = np.array(values, dtype=np.int64 if field in _INTEGER_FIELDS else float)
+        assert actual.dtype == want.dtype and actual.shape == want.shape, field
+        assert actual.tobytes() == want.tobytes(), field
