@@ -240,6 +240,7 @@ def _evidence_payload(model_label, est, seed, analytic=None, deviations=()):
         "single_run": est.single_run,
         "particles": est.draws_per_stage,
         "stages": list(est.stage_counts),
+        "forced_steps": list(est.forced_steps),
         "seed": int(seed),
         "deviations": list(deviations),
     }

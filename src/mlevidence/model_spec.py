@@ -102,8 +102,10 @@ def assemble_sigma_eta_batch(struct, variances, rho):
 
     ``variances`` (P, m) fill the diagonal and ``rho`` (P,) the pattern
     positions as rho * sigma_row * sigma_col.  Returns the (P, m, m)
-    matrices and a (P,) mask of those whose smallest eigenvalue is > 0;
-    a matrix that fails the gate is replaced by the identity, so callers
+    matrices and a (P,) mask of those whose smallest eigenvalue is > 0
+    and that ``np.linalg.cholesky`` factors: at |rho| = 1 the computed
+    eigenvalue can be a rounding residue above zero while a pivot is not.
+    A matrix that fails the gate is replaced by the identity, so callers
     can factor the whole stack and mask the rows.
     """
     v = np.asarray(variances, dtype=float)
@@ -117,7 +119,17 @@ def assemble_sigma_eta_batch(struct, variances, rho):
         se[:, r, c] = off
         se[:, c, r] = off
     ok = np.linalg.eigvalsh(se)[:, 0] > 0
-    return np.where(ok[:, None, None], se, np.eye(m)[None]), ok
+    se = np.where(ok[:, None, None], se, np.eye(m)[None])
+    try:
+        np.linalg.cholesky(se)
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(se[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+                se[i] = np.eye(m)
+    return se, ok
 
 
 def assemble_sigma_eta(struct, variances, rho):

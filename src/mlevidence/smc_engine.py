@@ -4,9 +4,19 @@ The sampler bridges prior and posterior through an adaptively chosen
 tempering ladder: the next exponent is found by bisection so the effective
 sample size after reweighting stays at a target fraction of the cloud,
 systematic resampling is applied when the ESS falls below its floor, and
-particles are refreshed by random-walk Metropolis sweeps whose proposal
-covariance tracks the weighted cloud covariance.  The log evidence is the
-sum over stages of the log weighted mean incremental weight.
+particles are refreshed by Metropolis-Hastings sweeps fitted to the weighted
+cloud.  The log evidence is the sum over stages of the log weighted mean
+incremental weight.
+
+In integrated mode only the 1-6 variance parameters are sampled, and a
+proposal fitted to the cloud is close to the target itself.  Each stage
+steps to an ESS of 0.8 N, resamples, and makes 3 sweeps of independence
+moves: every proposal is drawn from a multivariate t with 4 degrees of
+freedom centred at the cloud's weighted mean, with its weighted covariance
+as scale matrix (South, Pettitt & Drovandi 2019, "Sequential Monte Carlo
+samplers with independent Markov chain Monte Carlo proposals").  Full mode
+steps to an ESS of 0.5 N, resamples below 0.5 N, and makes 25 random-walk
+sweeps per stage, with the weighted covariance times 2.38^2 / dim.
 
 Variance parameters are sampled on the log scale and correlations through
 atanh, with prior Jacobians included, so proposals never leave the support.
@@ -23,9 +33,15 @@ import numpy as np
 from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
-_SWEEPS_BY_MODE = {"integrated": 10, "full": 25}   # MH sweeps per stage
-_ESS_TARGET_FRAC = 0.5   # each step keeps the ESS at this share of the particles
-_RESAMPLE_FRAC = 0.5     # a stage resamples when its ESS falls below this share
+# Per mode: MH sweeps per stage; their proposal ("independence": a t fitted
+# to the weighted cloud, "random_walk": a Gaussian step from each particle);
+# the share of the particles each tempering step keeps as ESS; and the share
+# below which a stage resamples (1.0: every stage whose weights differ).
+_SWEEPS_BY_MODE = {"integrated": 3, "full": 25}
+_PROPOSAL_BY_MODE = {"integrated": "independence", "full": "random_walk"}
+_ESS_TARGET_FRAC = {"integrated": 0.8, "full": 0.5}
+_RESAMPLE_FRAC = {"integrated": 1.0, "full": 0.5}
+_T_DF = 4.0              # degrees of freedom of the independence proposal
 _MAX_STAGES = 1000
 
 
@@ -66,6 +82,7 @@ class ParticleCloud:
     stage: int
     accept_rate: float = float("nan")
     ess_trace: tuple = ()    # ESS after each stage's resample decision
+    forced_steps: int = 0    # stages whose step a ladder guard set, below the ESS target
 
     @property
     def n_particles(self):
@@ -91,9 +108,10 @@ class EvidenceEstimate:
     likelihood_mode: str
     single_run: bool = False
     stage_counts: tuple = ()
+    forced_steps: tuple = ()   # per run, as ParticleCloud.forced_steps
 
     @staticmethod
-    def from_runs(runs, draws_per_stage, likelihood_mode, stage_counts=()):
+    def from_runs(runs, draws_per_stage, likelihood_mode, stage_counts=(), forced_steps=()):
         runs = tuple(float(r) for r in runs)
         if len(runs) < 1:
             raise ValueError("need at least one run")
@@ -104,6 +122,7 @@ class EvidenceEstimate:
             runs=runs, mean=mean, std=std, draws_per_stage=draws_per_stage,
             likelihood_mode=likelihood_mode, single_run=single,
             stage_counts=tuple(int(s) for s in stage_counts),
+            forced_steps=tuple(int(f) for f in forced_steps),
         )
 
 
@@ -170,7 +189,9 @@ def _variance_block_log_prior(spec, block):
     if layout.rho_sampled:
         r = block[:, len(layout.igs)]
         rho = np.tanh(r)
-        logp += _truncnorm_logpdf(rho) + np.log1p(-rho * rho)
+        # tanh rounds to +-1 beyond |r| ~ 19: the Jacobian there is -inf, not log(0).
+        jacobian = np.log1p(-rho * rho, out=np.full_like(rho, -np.inf), where=np.abs(rho) < 1.0)
+        logp += _truncnorm_logpdf(rho) + jacobian
     return logp
 
 
@@ -343,9 +364,15 @@ def _weighted_cov(U, w):
     return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def _proposal_chol(U, w, dim):
-    """Cholesky factors (R, dim, dim) of each run's random-walk proposal covariance."""
-    cov = _weighted_cov(U, w) * (2.38 ** 2 / dim)
+def _proposal_chol(U, w, dim, proposal):
+    """Cholesky factors (R, dim, dim) of each run's proposal scale matrix.
+
+    The independence t takes the weighted cloud covariance itself; the
+    random walk takes it times ``2.38^2 / dim``.
+    """
+    cov = _weighted_cov(U, w)
+    if proposal == "random_walk":
+        cov = cov * (2.38 ** 2 / dim)
     jitter = 1e-10 * np.maximum(1.0, np.trace(cov, axis1=1, axis2=2) / dim)
     try:
         return np.linalg.cholesky(cov + jitter[:, None, None] * np.eye(dim))
@@ -362,34 +389,62 @@ def _jittered_chol(cov, jitter, dim):
     return np.sqrt(np.clip(np.diag(cov), 1e-12, None))[:, None] * np.eye(dim)
 
 
-def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
-    """Batched random-walk Metropolis over the stacked clouds of R runs.
+def _t_log_kernel(dist2, dim):
+    """Log density of the t proposal, up to a constant per run, at squared Mahalanobis distance ``dist2``."""
+    return -0.5 * (_T_DF + dim) * np.log1p(dist2 / _T_DF)
+
+
+def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs, *, centre=None):
+    """Batched Metropolis-Hastings sweeps over the stacked clouds of R runs.
 
     U (R * N, dim) holds run r's particles in rows r N .. (r + 1) N - 1,
     ``beta`` (R,) and ``prop_chol`` (R, dim, dim) are per run, and ``rngs``
-    holds the R generators.  Each sweep draws every run's normals, makes
-    one prior and one likelihood call for all rows, then draws every
-    run's uniforms: each run draws what it draws alone.  Returns the
-    updated arrays, the acceptance rate over all rows and each run's rate.
+    holds the R generators.  Without ``centre`` each move is a random-walk
+    step ``L z`` from the particle.  With ``centre`` (R, dim) it is an
+    independence move: the proposal is ``centre + L z sqrt(nu / g)``, a
+    multivariate t with nu = ``_T_DF`` degrees of freedom and g a chi^2_nu
+    draw, and the log acceptance ratio carries ``log q(current) -
+    log q(proposal)``; :func:`_run_batch` makes ``_SWEEPS_BY_MODE`` sweeps
+    per stage, 3 of these in integrated mode and 25 random-walk sweeps in
+    full mode.  Each sweep draws every run's normals (then, for the
+    t, every run's chi^2 draws), makes one prior and one likelihood call
+    for all rows, then draws every run's uniforms: each run draws what it
+    draws alone.  Returns the updated arrays, the acceptance rate over all
+    rows and each run's rate.
     """
     R = len(rngs)
-    N = U.shape[0] // R
+    N, dim = U.shape[0] // R, U.shape[1]
     beta_rows = np.repeat(beta, N)
     accepted = np.zeros(R)
+    if centre is not None:
+        diff = U.reshape(R, N, dim) - centre[:, None, :]
+        t = solve_lower(prop_chol[:, None], diff[..., None])[..., 0]
+        logq = _t_log_kernel(np.sum(t * t, axis=2), dim).ravel()
     for _ in range(sweeps):
-        z = np.stack([rng.standard_normal((N, U.shape[1])) for rng in rngs])
-        prop = U + (z @ prop_chol.transpose(0, 2, 1)).reshape(U.shape)
+        z = np.stack([rng.standard_normal((N, dim)) for rng in rngs])
+        step = z @ prop_chol.transpose(0, 2, 1)
+        if centre is None:
+            prop = U + step.reshape(U.shape)
+        else:
+            g = np.stack([rng.chisquare(_T_DF, N) for rng in rngs])
+            shrink = _T_DF / g
+            prop = (centre[:, None, :] + step * np.sqrt(shrink)[..., None]).reshape(U.shape)
+            logq_prop = _t_log_kernel(np.sum(z * z, axis=2) * shrink, dim).ravel()
         lp_prop = target.log_prior(prop)
         ll_prop = target.log_lik(prop)
         cur = logprior + beta_rows * loglik
         new = lp_prop + beta_rows * ll_prop
         with np.errstate(invalid="ignore"):
             log_ratio = new - cur
+            if centre is not None:
+                log_ratio += logq - logq_prop
         u = np.concatenate([rng.random(N) for rng in rngs])
         accept = np.log(u) < log_ratio
         U = np.where(accept[:, None], prop, U)
         logprior = np.where(accept, lp_prop, logprior)
         loglik = np.where(accept, ll_prop, loglik)
+        if centre is not None:
+            logq = np.where(accept, logq_prop, logq)
         accepted += accept.reshape(R, N).sum(axis=1)
     total = sweeps * N
     run_rates = accepted / total if total else np.full(R, np.nan)
@@ -398,13 +453,16 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs):
 
 
 def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
-    """Tempered SMC runs of one target in lockstep; returns one (log evidence, stages, cloud) per seed.
+    """Tempered SMC runs of one target in lockstep; returns one (log evidence, stages, forced steps, cloud) per seed.
 
     Each run keeps its own exponent, log weights, increments, stage count,
-    proposal factor and generator, and makes its draws in the order it
-    makes them alone: its prior sample, then at each stage a resample
-    uniform (when it resamples) and, per MH sweep, its normals and then
-    its uniforms.  The runs that have not reached beta = 1 share every
+    proposal and generator, and makes its draws in the order it makes them
+    alone: its prior sample, then at each stage a resample uniform (when it
+    resamples) and, per MH sweep, its normals, its chi^2 draws (for the
+    independence t) and then its uniforms.  A stage whose step leaves the
+    ESS below the target was set by a ladder guard (the ``min_step`` floor
+    or :func:`_bisect`'s ``beta + 1e-6``), not by the bisection, and counts
+    as a forced step.  The runs that have not reached beta = 1 share every
     prior and likelihood call and every bisection step; a run leaves the
     batch after the stage in which it reaches 1.  With ``clouds=False``
     it leaves right after that stage's increment, the last term of its
@@ -418,7 +476,9 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         raise ValueError("n_particles must be at least 50")
     if mode not in _SWEEPS_BY_MODE:
         raise ValueError("mode must be 'integrated' or 'full'")
-    sweeps = _SWEEPS_BY_MODE[mode]
+    sweeps, proposal = _SWEEPS_BY_MODE[mode], _PROPOSAL_BY_MODE[mode]
+    ess_target = _ESS_TARGET_FRAC[mode] * n_particles
+    resample_below = _RESAMPLE_FRAC[mode] * n_particles
     target = build_target(stats, spec, mode)
     rngs = [np.random.default_rng(int(seed) % 2 ** 64) for seed in seeds]
     R, N, dim = len(seeds), n_particles, target.dim
@@ -432,6 +492,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     stage = np.zeros(R, dtype=int)
     increments = [[] for _ in range(R)]
     ess_trace = [[] for _ in range(R)]
+    forced = np.zeros(R, dtype=int)
     accept_rate = np.full(R, np.nan)
 
     while np.any(beta < 1.0):
@@ -444,7 +505,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         if not np.all(finite):
             raise DegenerateCloudError(int(stage[a][~finite][0]))
         b = beta[a]
-        new_beta = _next_beta(b, lw, ll, _ESS_TARGET_FRAC * N)
+        new_beta = _next_beta(b, lw, ll, ess_target)
         # Floor the step so the ladder always reaches 1 within _MAX_STAGES:
         # badly mixing targets would otherwise stall on vanishing increments.
         min_step = (1.0 - b) / np.maximum(1, _MAX_STAGES - stage[a])
@@ -457,16 +518,17 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         beta[a] = new_beta
         if not np.all(np.isfinite(norm)):
             raise DegenerateCloudError(int(stage[a][~np.isfinite(norm)][0]))
+        ess = _ess(stepped)
+        forced[a] += ess < ess_target
         if not clouds:
             going = new_beta < 1.0
             if not going.any():
                 break
-            a, stepped, norm = a[going], stepped[going], norm[going]
+            a, stepped, norm, ess = a[going], stepped[going], norm[going], ess[going]
 
         w = np.exp(stepped - norm[:, None])
         w = w / w.sum(axis=1, keepdims=True)
-        ess = _ess(stepped)
-        for i in np.flatnonzero(ess < _RESAMPLE_FRAC * N):
+        for i in np.flatnonzero(ess < resample_below):
             r = a[i]
             idx = systematic_resample(w[i], rngs[r])
             U[r], loglik[r], logprior[r] = U[r][idx], loglik[r][idx], logprior[r][idx]
@@ -476,15 +538,16 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         logw[a] = stepped
         for r, e in zip(a, ess):
             ess_trace[r].append(float(e))
-        prop_chol = _proposal_chol(U[a], w, dim)
+        prop_chol = _proposal_chol(U[a], w, dim, proposal)
+        centre = np.einsum("rn,rnd->rd", w, U[a]) if proposal == "independence" else None
         Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
             U[a].reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
-            sweeps, prop_chol, [rngs[r] for r in a],
+            sweeps, prop_chol, [rngs[r] for r in a], centre=centre,
         )
         U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
 
     if not clouds:
-        return [(float(np.sum(increments[r])), int(stage[r]), None) for r in range(R)]
+        return [(float(np.sum(increments[r])), int(stage[r]), int(forced[r]), None) for r in range(R)]
     results = []
     for r, seed in enumerate(seeds):
         cloud = ParticleCloud(
@@ -496,8 +559,9 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
             stage=int(stage[r]),
             accept_rate=float(accept_rate[r]),
             ess_trace=tuple(ess_trace[r]),
+            forced_steps=int(forced[r]),
         )
-        results.append((float(np.sum(increments[r])), cloud.stage, cloud))
+        results.append((float(np.sum(increments[r])), cloud.stage, cloud.forced_steps, cloud))
     return results
 
 
@@ -509,7 +573,7 @@ def run_smc(stats, spec, mode, n_particles, seed):
     mean of the incremental weights at every stage.  This is the one-run
     case of the batch that :func:`estimate_evidence` runs.
     """
-    logz, _, cloud = _run_batch(stats, spec, mode, n_particles, [seed])[0]
+    logz, _, _, cloud = _run_batch(stats, spec, mode, n_particles, [seed])[0]
     return logz, cloud
 
 
@@ -532,7 +596,8 @@ def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed):
         raise ValueError("n_runs must be at least 1")
     seeds = [derive_run_seed(master_seed, k) for k in range(n_runs)]
     results = _run_batch(stats, spec, mode, n_particles, seeds, clouds=False)
+    logz, stages, forced, _ = zip(*results)
     return EvidenceEstimate.from_runs(
-        [logz for logz, _, _ in results], draws_per_stage=n_particles, likelihood_mode=mode,
-        stage_counts=[stages for _, stages, _ in results],
+        logz, draws_per_stage=n_particles, likelihood_mode=mode, stage_counts=stages,
+        forced_steps=forced,
     )

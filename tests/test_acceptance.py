@@ -9,6 +9,7 @@ not distributable with this repository; point ``MLEVIDENCE_RADON_CSV`` at a
 copy (columns county, floor, log_radon, log_uranium) to enable it.
 """
 
+import math
 import os
 import time
 from functools import lru_cache
@@ -17,7 +18,11 @@ import numpy as np
 import pytest
 
 from conftest import general_spec, lm_spec, nig_spec, simple_spec
-from mlevidence.analytic_evidence import nig_log_evidence, quadrature_log_integrated
+from mlevidence.analytic_evidence import (
+    _gauss_legendre_log_integral,
+    nig_log_evidence,
+    quadrature_log_integrated,
+)
 from mlevidence.cli import RADON_MODEL_IDS, radon_model_spec
 from mlevidence.data_model import Dataset, build_radon_design, load_radon_csv
 from mlevidence.likelihood_core import (
@@ -75,6 +80,51 @@ def test_criterion1_conjugate_evidence_vs_smc(which):
     assert abs(est.mean - analytic) <= 0.2, (est.mean, analytic)
     assert est.std <= 0.1, est.std
     assert elapsed <= 120.0, elapsed
+
+
+def _variance_grid_log_evidence(stats, spec):
+    """Log evidence by a tensor Gauss-Legendre rule in log variance.
+
+    The integrand is the integrated likelihood plus the inverse-gamma log
+    priors and the log-scale Jacobians.  Its box is centred at the moments
+    of a coarse grid, 10 standard deviations wide on each axis.
+    """
+    lik = batch_log_integrated(stats, spec)
+
+    def log_joint(u):
+        val = lik(np.exp(u))
+        for i, ig in enumerate(spec.layout.igs):
+            val = val + (ig.shape * math.log(ig.scale) - math.lgamma(ig.shape)
+                         - ig.shape * u[:, i] - ig.scale * np.exp(-u[:, i]))
+        return val
+
+    axis = np.linspace(-12.0, 6.0, 181)
+    pts = np.stack(np.meshgrid(*[axis] * len(spec.layout.igs), indexing="ij"), axis=-1)
+    pts = pts.reshape(-1, len(spec.layout.igs))
+    vals = log_joint(pts)
+    w = np.exp(vals - vals.max())
+    w /= w.sum()
+    mean = w @ pts
+    sd = np.sqrt(w @ (pts - mean) ** 2)
+    coarse = _gauss_legendre_log_integral(log_joint, mean, 10.0 * sd, 80)
+    fine = _gauss_legendre_log_integral(log_joint, mean, 10.0 * sd, 160)
+    assert abs(fine - coarse) < 1e-6, (coarse, fine)
+    return fine
+
+
+def test_criterion1_multilevel_evidence_vs_variance_grid():
+    """The multilevel counterpart of criterion 1: sim:M1 on D1, whose
+    evidence has no closed form, against a 2-D quadrature over its two
+    variances.  Same bounds: |mean - reference| <= 0.2 and run-std <= 0.1
+    over 8 runs x 2000 particles.  The kernel that both sides call is
+    itself checked against the independent oracle by criterion 4."""
+    data, _ = generate_dataset("D1", _CFG, np.random.default_rng(0))
+    stats = precompute(data)
+    spec = builtin_model_specs("M1")
+    reference = _variance_grid_log_evidence(stats, spec)
+    est = estimate_evidence(stats, spec, "integrated", 8, 2000, master_seed=101)
+    assert abs(est.mean - reference) <= 0.2, (est.mean, reference)
+    assert est.std <= 0.1, est.std
 
 
 # ---------------------------------------------------------------------------

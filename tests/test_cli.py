@@ -75,7 +75,7 @@ class TestEvidence:
         ])
         assert rc == 0
         payload = json.loads(out.read_text())
-        for key in ("model", "mode", "runs", "mean", "std", "particles", "stages",
+        for key in ("model", "mode", "runs", "mean", "std", "particles", "stages", "forced_steps",
                     "seed", "deviations", "analytic_log_evidence", "manifest_digest"):
             assert key in payload, key
         assert len(payload["runs"]) == 2

@@ -1,12 +1,22 @@
+import importlib.util
+import math
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlevidence.data_model import Dataset
+from mlevidence import smc_engine
+from mlevidence.cli import radon_model_spec
+from mlevidence.data_model import Dataset, build_radon_design, load_radon_csv
 from mlevidence.likelihood_core import precompute
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence.smc_engine import (
     EvidenceEstimate,
+    _ESS_TARGET_FRAC,
+    _MAX_STAGES,
     _ess,
     _mh_sweeps,
     _next_beta,
@@ -159,7 +169,7 @@ def _rejuvenate(stats, spec, cloud, sweeps, rng):
     """The sampler's MH sweeps over one terminal cloud, at beta = 1."""
     target = build_target(stats, spec, "integrated")
     U = cloud.particles
-    prop_chol = _proposal_chol(U[None], cloud.normalized_weights()[None], target.dim)
+    prop_chol = _proposal_chol(U[None], cloud.normalized_weights()[None], target.dim, "random_walk")
     out, *_ = _mh_sweeps(
         U, target.log_prior(U), target.log_lik(U), np.ones(1), target, sweeps, prop_chol, [rng]
     )
@@ -189,6 +199,104 @@ class TestRejuvenation:
         m_after = w @ out
         sd = np.sqrt(np.average((cloud.particles - m_before) ** 2, weights=w, axis=0))
         assert np.all(np.abs(m_after - m_before) < 5 * sd / np.sqrt(400) * 4 + 0.1)
+
+
+class TestIndependenceMove:
+    def test_sweeps_keep_exact_posterior_draws_exact(self):
+        """The independence t move leaves pi_1 invariant.  LinearModelNIG's
+        sigma^2 posterior is IG(a + n/2, b + Q/2), Q the prior-predictive
+        quadratic form, so u = log sigma^2 has mean log(b') - digamma(a')
+        and variance trigamma(a').  Exact draws go through 5 sweeps of a
+        proposal centred one standard deviation off; their mean and
+        variance must stay put.  Without the log q term in the ratio the
+        chain would keep pi * q instead, and the mean moves by about half a
+        standard deviation."""
+        from scipy.special import digamma, polygamma
+
+        rng = np.random.default_rng(3)
+        data = make_dataset(rng, 40, 2, 0, 2)
+        stats = precompute(data)
+        spec = nig_spec(2)
+        resid = data.y - data.x @ spec.prior_mean
+        prior_pred = np.eye(data.n) + spec.gamma * data.x @ spec.prior_cov @ data.x.T
+        shape = spec.ig_y.shape + 0.5 * data.n
+        scale = spec.ig_y.scale + 0.5 * resid @ np.linalg.solve(prior_pred, resid)
+        mean, sd = math.log(scale) - digamma(shape), math.sqrt(polygamma(1, shape))
+
+        target = build_target(stats, spec, "integrated")
+        grid = np.linspace(mean - 4 * sd, mean + 4 * sd, 9)[:, None]
+        closed = shape * math.log(scale) - math.lgamma(shape) - shape * grid[:, 0] - scale * np.exp(-grid[:, 0])
+        assert np.ptp(target.log_prior(grid) + target.log_lik(grid) - closed) < 1e-8
+
+        n = 20000
+        U = np.log(scale / rng.gamma(shape, size=n))[:, None]
+        out, _, _, rate, _ = _mh_sweeps(
+            U, target.log_prior(U), target.log_lik(U), np.ones(1), target, 5,
+            np.array([[[sd]]]), [rng], centre=np.array([[mean + sd]]),
+        )
+        assert 0.3 < rate < 0.95
+        assert abs(out.mean() - mean) < 5 * sd / math.sqrt(n)
+        assert abs(out.var() / sd ** 2 - 1.0) < 5 * math.sqrt(2.0 / n)
+
+
+class TestForcedSteps:
+    def test_floor_step_is_counted(self, monkeypatch):
+        """Stall the bisection at the first stage: the ``min_step`` floor
+        sets the step, the sharp likelihood drops the ESS below the target,
+        and the run counts it.  Every other stage is recounted from the
+        bisection's inputs the same way."""
+        real = smc_engine._next_beta
+        stages = []
+
+        def stalled_first(beta, logw, loglik, target_ess):
+            new = beta.copy() if not stages else real(beta, logw, loglik, target_ess)
+            stages.append((beta[0], logw[0], loglik[0], new[0]))
+            return new
+
+        monkeypatch.setattr(smc_engine, "_next_beta", stalled_first)
+        stats = precompute(make_dataset(np.random.default_rng(2), 2000, 2, 0, 3))
+        n = 100
+        _, cloud = run_smc(stats, lm_spec(2), "integrated", n, seed=4)
+        expected = 0
+        for k, (b, lw, ll, new) in enumerate(stages, start=1):
+            step = max(new, b + (1.0 - b) / max(1, _MAX_STAGES - k))
+            expected += _ess(lw + (min(1.0, step) - b) * ll) < _ESS_TARGET_FRAC["integrated"] * n
+        assert len(stages) == cloud.stage
+        assert expected >= 1
+        assert cloud.forced_steps == expected
+        est = estimate_evidence(stats, lm_spec(2), "integrated", 1, n, 0)
+        assert est.forced_steps[0] >= 1
+
+
+def _load_radon_table():
+    """perfbench's seeded radon-schema table generator (its dataclass needs a registered module)."""
+    name = "perfbench_radon_table"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "radon_table.py"
+        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path))
+        sys.modules[name] = module
+        module.__spec__.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_sigma_eta_at_rho_one_is_zero_density_not_an_error(tmp_path):
+    """radon:M5 at a row whose atanh(rho) is -23.98: tanh rounds rho to
+    -1.0 exactly, the smallest computed eigenvalue of Sigma_eta is a
+    rounding residue of 8.9e-16 and ``np.linalg.cholesky`` fails on it.
+    The row must get zero density, with no error and no warning."""
+    radon_table = _load_radon_table()
+    csv = tmp_path / "radon.csv"
+    csv.write_text(radon_table.to_csv(radon_table.draw([1, 0])), encoding="utf-8")
+    data, _ = build_radon_design(load_radon_csv(csv), "M5")
+    spec = radon_model_spec("M5", data.d)
+    target = build_target(precompute(data), spec, "integrated")
+    row = np.array([[6.39286924400416, 1.5655613054467064, 12.914098284262321, -23.976799078171393]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert target.log_prior(row)[0] == -np.inf
+        assert target.log_lik(row)[0] == -np.inf
+        _, ok = spec.layout.sigma_eta(variance_block_to_natural(spec, row))
+    assert not ok[0]
 
 
 class TestSamplingScale:
@@ -245,6 +353,7 @@ class TestRunBatch:
             logz, cloud = run_smc(stats, spec, mode, 50, derive_run_seed(17, k))
             assert abs(est.runs[k] - logz) < 1e-9
             assert est.stage_counts[k] == cloud.stage
+            assert est.forced_steps[k] == cloud.forced_steps
 
     @pytest.mark.parametrize("make_spec,shape", [
         (lambda: lm_spec(2), (40, 2, 0, 3)),
