@@ -1,22 +1,21 @@
 """Tempered sequential Monte Carlo over variance space (or the full parameter space).
 
 The sampler bridges prior and posterior through an adaptively chosen
-tempering ladder: the next exponent is found by bisection so the effective
-sample size after reweighting stays at a target fraction of the cloud,
-systematic resampling is applied when the ESS falls below its floor, and
-particles are refreshed by Metropolis-Hastings sweeps fitted to the weighted
-cloud.  The log evidence is the sum over stages of the log weighted mean
-incremental weight.
+tempering ladder, the same in both likelihood modes (Jasra, Stephens, Doucet
+& Tsagaris 2011).  Each stage starts from an equally weighted cloud, steps
+the exponent, found by bisection, so that the effective sample size after
+reweighting is 0.8 N, resamples systematically when the weights differ, and
+refreshes the particles by Metropolis-Hastings sweeps fitted to the cloud.
+The log evidence is the sum over stages of the log mean incremental weight.
 
-In integrated mode only the 1-6 variance parameters are sampled, and a
-proposal fitted to the cloud is close to the target itself.  Each stage
-steps to an ESS of 0.8 N, resamples, and makes 3 sweeps of independence
-moves: every proposal is drawn from a multivariate t with 4 degrees of
-freedom centred at the cloud's weighted mean, with its weighted covariance
-as scale matrix (South, Pettitt & Drovandi 2019, "Sequential Monte Carlo
-samplers with independent Markov chain Monte Carlo proposals").  Full mode
-steps to an ESS of 0.5 N, resamples below 0.5 N, and makes 25 random-walk
-sweeps per stage, with the weighted covariance times 2.38^2 / dim.
+Only the moves differ by mode.  Integrated mode samples only the 1-6
+variance parameters, where a proposal fitted to the cloud is close to the
+target itself: 3 sweeps of independence moves per stage, each proposal drawn
+from a multivariate t with 4 degrees of freedom centred at the cloud's mean,
+with its covariance as scale matrix (South, Pettitt & Drovandi 2019,
+"Sequential Monte Carlo samplers with independent Markov chain Monte Carlo
+proposals").  Full mode makes 25 random-walk sweeps per stage, with the
+cloud's covariance times 2.38^2 / dim.
 
 Variance parameters are sampled on the log scale and correlations through
 atanh, with prior Jacobians included, so proposals never leave the support.
@@ -33,14 +32,12 @@ import numpy as np
 from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
-# Per mode: MH sweeps per stage; their proposal ("independence": a t fitted
-# to the weighted cloud, "random_walk": a Gaussian step from each particle);
-# the share of the particles each tempering step keeps as ESS; and the share
-# below which a stage resamples (1.0: every stage whose weights differ).
+# Per mode: MH sweeps per stage and their proposal ("independence": a t
+# fitted to the weighted cloud, "random_walk": a Gaussian step from each
+# particle).
 _SWEEPS_BY_MODE = {"integrated": 3, "full": 25}
 _PROPOSAL_BY_MODE = {"integrated": "independence", "full": "random_walk"}
-_ESS_TARGET_FRAC = {"integrated": 0.8, "full": 0.5}
-_RESAMPLE_FRAC = {"integrated": 1.0, "full": 0.5}
+_ESS_TARGET_FRAC = 0.8   # share of the particles each tempering step keeps as ESS
 _T_DF = 4.0              # degrees of freedom of the independence proposal
 _MAX_STAGES = 1000
 
@@ -81,8 +78,8 @@ class ParticleCloud:
     rng_seed: int
     stage: int
     accept_rate: float = float("nan")
-    ess_trace: tuple = ()    # ESS after each stage's resample decision
-    forced_steps: int = 0    # stages whose step a ladder guard set, below the ESS target
+    ess_trace: tuple = ()    # ESS after each stage's step, before its resample
+    forced_steps: int = 0    # stages whose step the stall guard set, below the ESS target
 
     @property
     def n_particles(self):
@@ -302,49 +299,50 @@ def _ess(logw):
     return total * total / (w * w).sum(axis=-1)
 
 
-def _next_beta(beta, logw, loglik, target_ess):
+def _next_beta(beta, loglik, target_ess):
     """Next tempering exponent of each run: the largest step that keeps its ESS at the target.
 
-    ``beta`` (R,), ``logw`` and ``loglik`` (R, N).  Every run is bisected
-    at once, each until no float lies strictly between its ends, at most
-    60 steps: one ESS call per step for all runs, and each run takes the
-    steps of :func:`_bisect` alone.  Once a run's midpoint equals an end,
-    the update leaves its ``lo`` as it is.  A batch of one runs
-    :func:`_bisect` itself: there the per-run bookkeeping made each step
-    about 40% dearer (single 500-particle runs).
+    ``beta`` (R,) and ``loglik`` (R, N) of equally weighted clouds, so a
+    step's log weights are ``step * loglik``.  Every run is bisected at
+    once until no float lies strictly between its ends: one ESS call per
+    step for all runs, and each run takes the steps of :func:`_bisect`
+    alone.  Where no positive step keeps the target (more than N - target
+    particles at zero likelihood), the stall guard steps by 1e-6.  A batch
+    of one runs :func:`_bisect`: per-run bookkeeping made each step about
+    40% dearer there (single 500-particle runs).
     """
     if beta.shape[0] == 1:
-        return np.array([_bisect(float(beta[0]), logw[0], loglik[0], target_ess)])
+        return np.array([_bisect(float(beta[0]), loglik[0], target_ess)])
     start = beta.tolist()
     with np.errstate(invalid="ignore"):
-        full = _ess(logw + (1.0 - beta)[:, None] * loglik) >= target_ess
+        full = _ess((1.0 - beta)[:, None] * loglik) >= target_ess
         lo = [1.0 if f else b for f, b in zip(full.tolist(), start)]
         hi = [1.0] * len(lo)
         for _ in range(60):
             mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
             if not any(a < m < b for a, m, b in zip(lo, mid, hi)):
                 break
-            ok = (_ess(logw + (np.array(mid) - beta)[:, None] * loglik) >= target_ess).tolist()
+            ok = (_ess((np.array(mid) - beta)[:, None] * loglik) >= target_ess).tolist()
             lo = [m if o else a for m, o, a in zip(mid, ok, lo)]
             hi = [b if o else m for m, o, b in zip(mid, ok, hi)]
     return np.array([a if a > b else min(1.0, b + 1e-6) for a, b in zip(lo, start)])
 
 
-def _bisect(beta, logw, loglik, target_ess):
-    """One run's :func:`_next_beta` on 1-D rows, with no per-run bookkeeping."""
+def _bisect(beta, loglik, target_ess):
+    """One run's :func:`_next_beta` on a 1-D row, with no per-run bookkeeping."""
     with np.errstate(invalid="ignore"):
-        if _ess(logw + (1.0 - beta) * loglik) >= target_ess:
+        if _ess((1.0 - beta) * loglik) >= target_ess:
             return 1.0
         lo, hi = beta, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # no float lies strictly between them
                 break
-            if _ess(logw + (mid - beta) * loglik) >= target_ess:
+            if _ess((mid - beta) * loglik) >= target_ess:
                 lo = mid
             else:
                 hi = mid
-    return lo if lo > beta else min(1.0, beta + 1e-6)  # guard against a stalled ladder
+    return lo if lo > beta else min(1.0, beta + 1e-6)  # the stall guard
 
 
 def systematic_resample(weights, rng):
@@ -455,14 +453,14 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs, *, ce
 def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     """Tempered SMC runs of one target in lockstep; returns one (log evidence, stages, forced steps, cloud) per seed.
 
-    Each run keeps its own exponent, log weights, increments, stage count,
-    proposal and generator, and makes its draws in the order it makes them
-    alone: its prior sample, then at each stage a resample uniform (when it
-    resamples) and, per MH sweep, its normals, its chi^2 draws (for the
-    independence t) and then its uniforms.  A stage whose step leaves the
-    ESS below the target was set by a ladder guard (the ``min_step`` floor
-    or :func:`_bisect`'s ``beta + 1e-6``), not by the bisection, and counts
-    as a forced step.  The runs that have not reached beta = 1 share every
+    Each run keeps its own exponent, increments, stage count, proposal and
+    generator, and makes its draws in the order it makes them alone: its
+    prior sample, then at each stage a resample uniform (when its weights
+    differ) and, per MH sweep, its normals, its chi^2 draws (for the
+    independence t) and then its uniforms.  Every stage starts from an
+    equally weighted cloud.  A stage whose step leaves the ESS below the
+    target was set by the stall guard, not by the bisection, and counts as
+    a forced step.  The runs that have not reached beta = 1 share every
     prior and likelihood call and every bisection step; a run leaves the
     batch after the stage in which it reaches 1.  With ``clouds=False``
     it leaves right after that stage's increment, the last term of its
@@ -477,8 +475,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     if mode not in _SWEEPS_BY_MODE:
         raise ValueError("mode must be 'integrated' or 'full'")
     sweeps, proposal = _SWEEPS_BY_MODE[mode], _PROPOSAL_BY_MODE[mode]
-    ess_target = _ESS_TARGET_FRAC[mode] * n_particles
-    resample_below = _RESAMPLE_FRAC[mode] * n_particles
+    ess_target = _ESS_TARGET_FRAC * n_particles
     target = build_target(stats, spec, mode)
     rngs = [np.random.default_rng(int(seed) % 2 ** 64) for seed in seeds]
     R, N, dim = len(seeds), n_particles, target.dim
@@ -487,7 +484,6 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     flat = U.reshape(R * N, dim)
     loglik = target.log_lik(flat).reshape(R, N)
     logprior = target.log_prior(flat).reshape(R, N)
-    logw = np.zeros((R, N))
     beta = np.zeros(R)
     stage = np.zeros(R, dtype=int)
     increments = [[] for _ in range(R)]
@@ -500,26 +496,24 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         stage[a] += 1
         if np.any(stage[a] > _MAX_STAGES):
             raise RuntimeError("tempering ladder failed to reach 1")
-        lw, ll = logw[a], loglik[a]
-        finite = np.any(np.isfinite(lw + ll), axis=1)
+        ll = loglik[a]
+        finite = np.any(np.isfinite(ll), axis=1)
         if not np.all(finite):
             raise DegenerateCloudError(int(stage[a][~finite][0]))
         b = beta[a]
-        new_beta = _next_beta(b, lw, ll, ess_target)
-        # Floor the step so the ladder always reaches 1 within _MAX_STAGES:
-        # badly mixing targets would otherwise stall on vanishing increments.
-        min_step = (1.0 - b) / np.maximum(1, _MAX_STAGES - stage[a])
-        new_beta = np.minimum(1.0, np.maximum(new_beta, b + min_step))
+        new_beta = _next_beta(b, ll, ess_target)
         with np.errstate(invalid="ignore"):
-            stepped = lw + (new_beta - b)[:, None] * ll
+            stepped = (new_beta - b)[:, None] * ll
         norm = _logsumexp(stepped, axis=1)
-        for r, incr in zip(a, norm - _logsumexp(lw, axis=1)):
+        for r, incr in zip(a, norm - np.log(N)):
             increments[r].append(float(incr))
         beta[a] = new_beta
         if not np.all(np.isfinite(norm)):
             raise DegenerateCloudError(int(stage[a][~np.isfinite(norm)][0]))
         ess = _ess(stepped)
         forced[a] += ess < ess_target
+        for r, e in zip(a, ess):
+            ess_trace[r].append(float(e))
         if not clouds:
             going = new_beta < 1.0
             if not going.any():
@@ -528,16 +522,11 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
 
         w = np.exp(stepped - norm[:, None])
         w = w / w.sum(axis=1, keepdims=True)
-        for i in np.flatnonzero(ess < resample_below):
+        for i in np.flatnonzero(ess < N):   # every stage whose weights differ
             r = a[i]
             idx = systematic_resample(w[i], rngs[r])
             U[r], loglik[r], logprior[r] = U[r][idx], loglik[r][idx], logprior[r][idx]
-            stepped[i] = 0.0
             w[i] = 1.0 / N
-            ess[i] = N   # the ESS of equal weights
-        logw[a] = stepped
-        for r, e in zip(a, ess):
-            ess_trace[r].append(float(e))
         prop_chol = _proposal_chol(U[a], w, dim, proposal)
         centre = np.einsum("rn,rnd->rd", w, U[a]) if proposal == "independence" else None
         Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
@@ -552,7 +541,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     for r, seed in enumerate(seeds):
         cloud = ParticleCloud(
             particles=U[r],
-            log_weights=logw[r] - _logsumexp(logw[r]),
+            log_weights=np.full(N, -np.log(N)),
             beta_temper=1.0,
             log_z_increments=increments[r],
             rng_seed=int(seed),
@@ -569,8 +558,8 @@ def run_smc(stats, spec, mode, n_particles, seed):
     """One tempered-SMC run; returns (log_evidence, ParticleCloud).
 
     Particles are initialized from the prior, the tempering exponent is
-    advanced adaptively, and the evidence accumulates the log weighted
-    mean of the incremental weights at every stage.  This is the one-run
+    advanced adaptively, and the evidence accumulates the log mean of the
+    incremental weights at every stage.  This is the one-run
     case of the batch that :func:`estimate_evidence` runs.
     """
     logz, _, _, cloud = _run_batch(stats, spec, mode, n_particles, [seed])[0]
