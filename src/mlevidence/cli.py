@@ -278,6 +278,8 @@ def cmd_evidence(args):
     print(
         f"{label} [{args.mode}] log evidence: {est.mean:.4f}"
         + (f" (std {est.std:.4f}, {args.runs} runs)" if not est.single_run else " (single run)")
+        + (f"; forced ladder steps per run: {' '.join(map(str, est.forced_steps))}"
+           if any(est.forced_steps) else "")
     )
     return 0
 

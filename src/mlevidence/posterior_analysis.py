@@ -202,6 +202,7 @@ def _profile_loglik_builder(stats, spec):
 
 
 _START_FACTORS = (1.0, 0.3, 3.0, 0.1, 10.0)
+_AGREE_NATS = 1e-6   # the two best starts' maxima must agree this closely to count as converged
 
 
 def aic(data, spec, *, stats=None):
@@ -213,6 +214,8 @@ def aic(data, spec, *, stats=None):
     already made by the caller.  sigma2_y is profiled out in closed form; the
     multilevel families search the rest with a multi-start Nelder-Mead
     simplex, the starts scaling the ratios of the prior variance means.
+    The search has converged when the best start succeeded and the two
+    best maxima agree within ``_AGREE_NATS``.
     """
     from scipy.optimize import minimize  # only the AIC search needs SciPy
 
@@ -226,9 +229,9 @@ def aic(data, spec, *, stats=None):
     base = np.zeros(nvar)    # a sampled correlation starts at rho = 0
     base[:len(log_means) - 1] = np.subtract(log_means[1:], log_means[0])
 
-    best_val = -np.inf
     best_u = base
     converged = nvar == 0
+    fits = []
     for factor in _START_FACTORS if nvar else ():
         start = base.copy()
         start[:len(log_means) - 1] += np.log(factor)
@@ -236,10 +239,10 @@ def aic(data, spec, *, stats=None):
             lambda u: -profile(u)[0], start, method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000},
         )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_u = res.x
-            converged = bool(res.success)
+        fits.append((-res.fun, bool(res.success), res.x))
+    if fits:
+        (best, success, best_u), (second, _, _) = sorted(fits, key=lambda f: f[0], reverse=True)[:2]
+        converged = bool(success and best - second <= _AGREE_NATS)
     max_loglik, row = profile(best_u)
     theta_hat = {"log_variances": [float(v) for v in row]}
     return AICResult(

@@ -3,8 +3,8 @@
 The sampler bridges prior and posterior through an adaptively chosen
 tempering ladder, the same in both likelihood modes (Jasra, Stephens, Doucet
 & Tsagaris 2011).  Each stage starts from an equally weighted cloud, steps
-the exponent, found by bisection, so that the effective sample size after
-reweighting is 0.8 N, resamples systematically when the weights differ, and
+the exponent, bisected to an effective sample size after reweighting within
+1% above 0.8 N, resamples systematically when the weights differ, and
 refreshes the particles by Metropolis-Hastings sweeps fitted to the cloud.
 The log evidence is the sum over stages of the log mean incremental weight.
 
@@ -38,6 +38,7 @@ SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) *
 _SWEEPS_BY_MODE = {"integrated": 3, "full": 25}
 _PROPOSAL_BY_MODE = {"integrated": "independence", "full": "random_walk"}
 _ESS_TARGET_FRAC = 0.8   # share of the particles each tempering step keeps as ESS
+_ESS_TOL = 0.01          # a step is solved once its ESS lies within this share above the target
 _T_DF = 4.0              # degrees of freedom of the independence proposal
 _MAX_STAGES = 1000
 
@@ -289,10 +290,9 @@ def _ess(logw):
     """Effective sample size ``(sum w)^2 / sum w^2`` of each row of unnormalized log weights.
 
     The one ESS of the sampler: the tempering bisection, the resample
-    decision and the ESS trace all read it, so a step the bisection
-    accepts is never judged below the target when the ESS sits on it.
-    Rows are reduced independently, so a run's value does not depend on
-    the other runs in the batch.
+    decision and the ESS trace all read it, so a step the bisection accepts
+    (within 1% above the target) is never judged below it.  Rows are reduced
+    independently: a run's value does not depend on the other runs.
     """
     w = np.exp(logw - logw.max(axis=-1, keepdims=True))
     total = w.sum(axis=-1)
@@ -300,49 +300,29 @@ def _ess(logw):
 
 
 def _next_beta(beta, loglik, target_ess):
-    """Next tempering exponent of each run: the largest step that keeps its ESS at the target.
+    """Next tempering exponent of each run: a step whose ESS lies within 1% above the target.
 
     ``beta`` (R,) and ``loglik`` (R, N) of equally weighted clouds, so a
-    step's log weights are ``step * loglik``.  Every run is bisected at
-    once until no float lies strictly between its ends: one ESS call per
-    step for all runs, and each run takes the steps of :func:`_bisect`
-    alone.  Where no positive step keeps the target (more than N - target
-    particles at zero likelihood), the stall guard steps by 1e-6.  A batch
-    of one runs :func:`_bisect`: per-run bookkeeping made each step about
-    40% dearer there (single 500-particle runs).
+    step's log weights are ``step * loglik``.  All runs bisect at once, one
+    ESS call per halving, and a run stops once the ESS at its lower end is in
+    [target, (1 + ``_ESS_TOL``) target] or no float lies between its ends;
+    its steps do not depend on the other runs.  Where no positive step keeps
+    the target (more than N - target particles at zero likelihood), the
+    stall guard steps by 1e-6.
     """
-    if beta.shape[0] == 1:
-        return np.array([_bisect(float(beta[0]), loglik[0], target_ess)])
-    start = beta.tolist()
     with np.errstate(invalid="ignore"):
-        full = _ess((1.0 - beta)[:, None] * loglik) >= target_ess
-        lo = [1.0 if f else b for f, b in zip(full.tolist(), start)]
-        hi = [1.0] * len(lo)
-        for _ in range(60):
-            mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-            if not any(a < m < b for a, m, b in zip(lo, mid, hi)):
-                break
-            ok = (_ess((np.array(mid) - beta)[:, None] * loglik) >= target_ess).tolist()
-            lo = [m if o else a for m, o, a in zip(mid, ok, lo)]
-            hi = [b if o else m for m, o, b in zip(mid, ok, hi)]
-    return np.array([a if a > b else min(1.0, b + 1e-6) for a, b in zip(lo, start)])
-
-
-def _bisect(beta, loglik, target_ess):
-    """One run's :func:`_next_beta` on a 1-D row, with no per-run bookkeeping."""
-    with np.errstate(invalid="ignore"):
-        if _ess((1.0 - beta) * loglik) >= target_ess:
-            return 1.0
-        lo, hi = beta, 1.0
+        lo = np.where(_ess((1.0 - beta)[:, None] * loglik) >= target_ess, 1.0, beta)
+        hi, ess_lo = np.ones_like(lo), np.full_like(lo, np.inf)   # a zero step never solves a run
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # no float lies strictly between them
+            a = np.flatnonzero((lo < mid) & (mid < hi) & (ess_lo > (1.0 + _ESS_TOL) * target_ess))
+            if a.size == 0:
                 break
-            if _ess((mid - beta) * loglik) >= target_ess:
-                lo = mid
-            else:
-                hi = mid
-    return lo if lo > beta else min(1.0, beta + 1e-6)  # the stall guard
+            ess = _ess((mid[a] - beta[a])[:, None] * loglik[a])
+            ok = ess >= target_ess
+            up, down = a[ok], a[~ok]
+            lo[up], ess_lo[up], hi[down] = mid[up], ess[ok], mid[down]
+    return np.where(lo > beta, lo, np.minimum(1.0, beta + 1e-6))   # the stall guard
 
 
 def systematic_resample(weights, rng):
@@ -458,16 +438,16 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     prior sample, then at each stage a resample uniform (when its weights
     differ) and, per MH sweep, its normals, its chi^2 draws (for the
     independence t) and then its uniforms.  Every stage starts from an
-    equally weighted cloud.  A stage whose step leaves the ESS below the
-    target was set by the stall guard, not by the bisection, and counts as
-    a forced step.  The runs that have not reached beta = 1 share every
-    prior and likelihood call and every bisection step; a run leaves the
-    batch after the stage in which it reaches 1.  With ``clouds=False``
+    equally weighted cloud and bisects its step to an ESS within 1% above
+    the target; a step below the target was set by the stall guard and
+    counts as a forced step.  The runs that have not reached beta = 1 share
+    every prior and likelihood call and every bisection step; a run leaves
+    the batch after the stage in which it reaches 1.  With ``clouds=False``
     it leaves right after that stage's increment, the last term of its
     evidence: the resample and MH sweeps after it would only refresh a
     posterior cloud, and the cloud returned is None.  The integrated
-    likelihood splits large calls into blocks of bounded memory.  Each
-    value equals the run's value alone up to rounding (kernels round a row
+    likelihood splits large calls into blocks of bounded memory.  Each value
+    equals the run's value alone up to rounding (kernels round a row
     slightly differently at other block sizes).
     """
     if n_particles < 50:

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mlevidence.cli import _write_dataset_csv, build_parser, main, radon_model_spec
 from mlevidence.data_model import Dataset
+from mlevidence.model_spec import save
 from mlevidence.posterior_analysis import AICResult
 
+from conftest import general_spec, make_dataset
 from conftest import rng as _rng_fixture  # noqa: F401 (fixture re-export)
 
 
@@ -109,6 +111,28 @@ class TestEvidence:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["deviations"]
+
+    def test_forced_steps_reach_the_printed_line(self, tmp_path, capsys):
+        """The stall-guard spec of ``TestForcedSteps``: the printed line names
+        the forced steps per run exactly when the JSON has one."""
+        spec = general_spec(2, m=3, sampled_rho=True, pattern=((0, 1), (1, 2), (0, 2)))
+        save(spec, tmp_path / "spec.yaml")
+        _write_dataset_csv(tmp_path / "data.csv", make_dataset(np.random.default_rng(5), 60, 2, 3, 4))
+        named = []
+        for seed in (0, 3):
+            out = tmp_path / f"ev{seed}.json"
+            assert main([
+                "evidence", "--data", str(tmp_path / "data.csv"), "--model", str(tmp_path / "spec.yaml"),
+                "--particles", "200", "--runs", "2", "--seed", str(seed), "--out", str(out),
+            ]) == 0
+            forced = json.loads(out.read_text())["forced_steps"]
+            line = capsys.readouterr().out.strip()
+            if any(forced):
+                assert line.endswith(f"; forced ladder steps per run: {' '.join(map(str, forced))}")
+                named.append(seed)
+            else:
+                assert "forced" not in line
+        assert named
 
 
 class TestCompare:

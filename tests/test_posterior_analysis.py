@@ -189,6 +189,33 @@ class TestAIC:
         want = _dense_gls_loglik(data, spec, res.theta_hat["log_variances"])
         assert abs(res.max_loglik - want) < 1e-6
 
+    def test_converged_means_the_two_best_starts_agree(self, monkeypatch):
+        """sim:M1 on the D1 of ``simulate --seed 0``: every start reaches the
+        same maximum.  When the other starts report maxima 1e-3 nats lower,
+        the first start is the best one and succeeds, but the search has not
+        converged; the maximum is still the first start's."""
+        import scipy.optimize
+
+        rng = np.random.default_rng(0)
+        data = {w: generate_dataset(w, SimConfig(), rng)[0] for w in DATASET_IDS}["D1"]
+        spec = builtin_model_specs("M1")
+        res = aic(data, spec)
+        assert res.converged
+        minimize, calls = scipy.optimize.minimize, []
+
+        def first_is_best(*args, **kwargs):
+            out = minimize(*args, **kwargs)
+            if calls:
+                out.fun = out.fun + 1e-3
+            calls.append(out.success)
+            return out
+
+        monkeypatch.setattr(scipy.optimize, "minimize", first_is_best)
+        worse = aic(data, spec)
+        assert calls[0] and len(calls) == 5
+        assert not worse.converged
+        assert abs(worse.max_loglik - res.max_loglik) < 1e-9
+
     @pytest.mark.parametrize("make_spec", [lm_spec, simple_spec, partial(general_spec, m=2)],
                              ids=["lm", "simple", "general"])
     def test_duplicated_column_keeps_the_maximum(self, rng, make_spec):

@@ -12,6 +12,7 @@ from mlevidence.cli import radon_model_spec
 from mlevidence.data_model import Dataset, build_radon_design, load_radon_csv
 from mlevidence.likelihood_core import precompute
 from mlevidence.analytic_evidence import nig_log_evidence
+from mlevidence import smc_engine
 from mlevidence.smc_engine import (
     EvidenceEstimate,
     _ESS_TARGET_FRAC,
@@ -435,6 +436,49 @@ def test_property_next_beta_keeps_every_run_at_the_target(seed, runs, n, scale, 
     assert np.all(_ess((new - beta)[:, None] * loglik) >= target)
     for r in range(runs):
         assert _next_beta(beta[r:r + 1], loglik[r:r + 1], target)[0] == new[r]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6), n=st.integers(2, 80),
+       scale=st.floats(0.01, 1e3), frac=st.floats(0.05, 0.95), dead=st.floats(0.0, 0.5))
+def test_property_next_beta_solves_each_step_to_the_tolerance(seed, runs, n, scale, frac, dead):
+    """Each step's ESS lies in [target, 1.01 target], unless the whole
+    remaining step keeps the target (beta = 1) or too few particles have a
+    nonzero likelihood for any step to keep it (the stall guard); a batch
+    of one returns its row of the batch."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.0, 0.9, runs)
+    loglik = scale * rng.normal(size=(runs, n))
+    loglik[:, 1:][rng.random((runs, n - 1)) < dead] = -np.inf
+    target = frac * n
+    new = _next_beta(beta, loglik, target)
+    with np.errstate(invalid="ignore"):
+        ess = _ess((new - beta)[:, None] * loglik)
+        full = _ess((1.0 - beta)[:, None] * loglik)
+    for r in range(runs):
+        if new[r] == 1.0:
+            assert full[r] >= target
+        elif ess[r] < target:
+            assert new[r] == beta[r] + 1e-6
+            assert np.isfinite(loglik[r]).sum() <= target
+        else:
+            assert ess[r] <= 1.01 * target, (ess[r], target)
+        assert _next_beta(beta[r:r + 1], loglik[r:r + 1], target)[0] == new[r]
+
+
+def test_tempering_step_costs_few_ess_calls(monkeypatch):
+    """Solving each step to the tolerance, not to float resolution, takes
+    about a dozen ESS calls per stage (about 50 at float resolution)."""
+    calls = []
+
+    def counted(logw):
+        calls.append(1)
+        return _ess(logw)
+
+    stats = precompute(make_dataset(np.random.default_rng(5), 60, 2, 0, 4))
+    monkeypatch.setattr(smc_engine, "_ess", counted)
+    _, cloud = run_smc(stats, simple_spec(2), "integrated", 200, seed=3)
+    assert len(calls) <= 15 * cloud.stage, (len(calls), cloud.stage)
 
 
 class TestScipyFreeHelpers:
