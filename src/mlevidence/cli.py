@@ -28,9 +28,7 @@ from mlevidence.data_model import (
     RADON_FAMILIES,
     RADON_MODEL_IDS,
     Dataset,
-    EmptyDataError,
-    ParseError,
-    SchemaError,
+    InputError,
     UnknownModelError,
     build_radon_design,
     load_csv,
@@ -290,7 +288,9 @@ def cmd_compare(args):
     deviations = []
     read = _read_once()
     for model_arg in args.models:
-        entry = {"model": model_arg}
+        entry = {"model": model_arg, **dict.fromkeys((
+            "log_evidence", "std", "aic", "k", "max_loglik", "aic_converged", "error",
+            "evidence_rank", "aic_rank"))}
         try:
             data, spec, label, devs, _ = _resolve_model(model_arg, args.data, read)
             problems = validate(spec, data)
@@ -301,14 +301,11 @@ def cmd_compare(args):
             a = aic(data, spec, stats=stats)
             entry.update(
                 log_evidence=est.mean, std=est.std, aic=a.aic, k=a.k,
-                max_loglik=a.max_loglik, aic_converged=a.converged, error=None, _est=est,
+                max_loglik=a.max_loglik, aic_converged=a.converged, _est=est,
             )
             deviations += devs
         except Exception as exc:  # noqa: BLE001 - per-model failure isolation
-            entry.update(
-                log_evidence=None, std=None, aic=None, k=None,
-                max_loglik=None, aic_converged=None, error=f"{type(exc).__name__}: {exc}",
-            )
+            entry["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(entry)
 
     ok = [r for r in rows if r["error"] is None]
@@ -318,9 +315,6 @@ def cmd_compare(args):
     aic_sorted = sorted(ok, key=lambda r: r["aic"])
     for rank, r in enumerate(aic_sorted, start=1):
         r["aic_rank"] = rank
-    for r in rows:
-        r.setdefault("evidence_rank", None)
-        r.setdefault("aic_rank", None)
 
     pairwise = []
     if len(ok) > 1:
@@ -420,6 +414,16 @@ def cmd_fit_export(args):
     return 0
 
 
+def _at_least(lowest):
+    """An argparse ``type``: an int, and a usage error below ``lowest``."""
+    def parse(text):
+        if int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
+        return int(text)
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mlevidence",
@@ -436,8 +440,8 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", required=True, help="input CSV")
     common.add_argument("--mode", choices=("integrated", "full"), default="integrated")
-    common.add_argument("--particles", type=int, default=2000)
-    common.add_argument("--runs", type=int, default=8)
+    common.add_argument("--particles", type=_at_least(50), default=2000)
+    common.add_argument("--runs", type=_at_least(1), default=8)
     common.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evidence", parents=[common], help="estimate log model evidence")
@@ -453,7 +457,7 @@ def build_parser():
     p = sub.add_parser("fit-export", help="per-county fitted means for a radon model")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--particles", type=int, default=1000)
+    p.add_argument("--particles", type=_at_least(50), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_export)
@@ -461,12 +465,13 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; an unreadable or malformed input file, or an unknown
-    builtin model id, is one line on stderr and status 2."""
+    """Run one command; an unreadable file or an input the program cannot use
+    (a malformed data or spec file, a radon table that cannot be standardized,
+    an unknown builtin model id) is one line on stderr and status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, SchemaError, EmptyDataError, UnknownModelError) as exc:
+    except (OSError, InputError) as exc:
         print(f"mlevidence: error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,11 +24,15 @@ RADON_FAMILIES = {
 RADON_MODEL_IDS = tuple(RADON_FAMILIES)
 
 
-class SchemaError(ValueError):
+class InputError(ValueError):
+    """An input the program cannot use; the message names the file, column or id."""
+
+
+class SchemaError(InputError):
     """A required column is missing or the schema is malformed."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A cell could not be parsed as a number; carries the 1-based row index."""
 
     def __init__(self, message, row):
@@ -36,15 +40,15 @@ class ParseError(ValueError):
         self.row = row
 
 
-class EmptyDataError(ValueError):
+class EmptyDataError(InputError):
     """The file contains a header but no data rows."""
 
 
-class ZeroVarianceError(ValueError):
-    """Standardization was requested for a constant column."""
+class ZeroVarianceError(InputError):
+    """Standardization was requested for a constant column or one of fewer than two values."""
 
 
-class UnknownModelError(ValueError):
+class UnknownModelError(InputError):
     """A model id names none of the builtin models."""
 
 
@@ -144,15 +148,16 @@ def standardize(values):
     Raises
     ------
     ZeroVarianceError
-        If the input is constant (sample sd is zero).
+        If the input is constant, or its sample sd is not a positive float.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError("need a 1-d array of length >= 2")
+        raise ValueError("need a 1-d array of at least two values")
     mean = float(np.mean(v))
     sd = float(np.std(v, ddof=1))
-    if sd == 0.0 or not math.isfinite(sd):
-        raise ZeroVarianceError("cannot standardize a constant column")
+    # A constant column's mean can round off its value, leaving sd at 1e-17.
+    if v.min() == v.max() or not 0.0 < sd < math.inf:
+        raise ZeroVarianceError("the values are constant")
     st = Standardization(mean=mean, sd=sd)
     return st.apply(v), st
 
@@ -324,6 +329,14 @@ def load_radon_csv(path):
     )
 
 
+def _standardize_column(values, what):
+    """:func:`standardize`; a ZeroVarianceError names ``what`` (constant, or fewer than two values)."""
+    try:
+        return standardize(values)
+    except ValueError as exc:
+        raise ZeroVarianceError(f"cannot standardize {what}: {exc}") from exc
+
+
 def build_radon_design(raw, model_id):
     """Construct the model matrix for one of the radon models M0..M5.
 
@@ -346,10 +359,10 @@ def build_radon_design(raw, model_id):
     group, county_names = _dense_relabel(raw.county)
     J = len(county_names)
     t = np.asarray(raw.floor, dtype=float)
-    y, _ = standardize(raw.log_radon)
+    y, _ = _standardize_column(raw.log_radon, "column 'log_radon'")
     u = np.asarray(raw.log_uranium, dtype=float)
     first = np.unique(group, return_index=True)[1]   # each county's first row
-    _, st_u = standardize(u[first])
+    _, st_u = _standardize_column(u[first], "column 'log_uranium' over counties")
     v = st_u.apply(u)
     has_first_floor = np.bincount(group, weights=t, minlength=J + 1)[1:] > 0
     keep = np.flatnonzero(has_first_floor)

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from mlevidence.data_model import InputError
+
 # Group effects of each family: none, one intercept per group (False) or
 # one coefficient per z column (True).
 Z_EFFECTS = {
@@ -352,7 +354,13 @@ def save(spec, path):
 
 
 def load(path):
+    """Read a spec file; one that does not parse or describes no valid model is an InputError."""
     import yaml
 
     with open(path, encoding="utf-8") as fh:
-        return from_config(yaml.safe_load(fh))
+        try:
+            return from_config(yaml.safe_load(fh))
+        except KeyError as exc:
+            raise InputError(f"{path}: missing key {exc}") from exc
+        except (yaml.YAMLError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: {' '.join(str(exc).split())}") from exc

@@ -5,8 +5,10 @@ tempering ladder, the same in both likelihood modes (Jasra, Stephens, Doucet
 & Tsagaris 2011).  Each stage starts from an equally weighted cloud, steps
 the exponent, bisected to an effective sample size after reweighting within
 1% above 0.8 N, resamples systematically when the weights differ, and
-refreshes the particles by Metropolis-Hastings sweeps fitted to the cloud.
-The log evidence is the sum over stages of the log mean incremental weight.
+refreshes the particles by Metropolis-Hastings sweeps fitted to the
+resampled cloud's plain mean and covariance.  The log evidence is the sum
+over stages of the log mean incremental weight; one max-shifted pass over
+a step's log weights gives both that mean and the resampling weights.
 
 Only the moves differ by mode.  Integrated mode samples only the 1-6
 variance parameters, where a proposal fitted to the cloud is close to the
@@ -33,7 +35,7 @@ from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_inte
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
 # Per mode: MH sweeps per stage and their proposal ("independence": a t
-# fitted to the weighted cloud, "random_walk": a Gaussian step from each
+# fitted to the resampled cloud, "random_walk": a Gaussian step from each
 # particle).
 _SWEEPS_BY_MODE = {"integrated": 3, "full": 25}
 _PROPOSAL_BY_MODE = {"integrated": "independence", "full": "random_walk"}
@@ -41,23 +43,6 @@ _ESS_TARGET_FRAC = 0.8   # share of the particles each tempering step keeps as E
 _ESS_TOL = 0.01          # a step is solved once its ESS lies within this share above the target
 _T_DF = 4.0              # degrees of freedom of the independence proposal
 _MAX_STAGES = 1000
-
-
-def _logsumexp(a, axis=-1):
-    """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum.
-
-    The terms equal to the maximum are taken out of the sum (as
-    ``scipy.special.logsumexp`` does), and a row that is all ``-inf``
-    gives ``-inf``, not NaN, so a degenerate cloud stays detectable.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    top = a.max(axis=axis, keepdims=True)
-    at_top = a == top
-    ties = at_top.sum(axis=axis, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        rest = np.where(at_top, 0.0, np.exp(a - top)).sum(axis=axis, keepdims=True)
-    out = np.where(np.isfinite(top), np.log1p(rest / ties) + np.log(ties) + top, top)
-    return np.squeeze(out, axis=axis)[()]
 
 
 class DegenerateCloudError(RuntimeError):
@@ -82,17 +67,12 @@ class ParticleCloud:
     ess_trace: tuple = ()    # ESS after each stage's step, before its resample
     forced_steps: int = 0    # stages whose step the stall guard set, below the ESS target
 
-    @property
-    def n_particles(self):
-        return self.particles.shape[0]
-
     def normalized_weights(self):
-        w = np.exp(self.log_weights - _logsumexp(self.log_weights))
+        w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
 
     def ess(self):
-        w = self.normalized_weights()
-        return 1.0 / float(w @ w)
+        return float(_ess(self.log_weights))
 
 
 @dataclass(frozen=True)
@@ -142,12 +122,11 @@ _TRUNCNORM_LOGNORM = math.log(_TRUNCNORM_HI - _TRUNCNORM_LO)
 
 
 def _truncnorm_logpdf(rho):
-    out = np.where(
+    return np.where(
         (rho > -1.0) & (rho < 1.0),
         -0.5 * (np.log(2.0 * np.pi) + rho * rho) - _TRUNCNORM_LOGNORM,
         -np.inf,
     )
-    return out
 
 
 def _sample_truncnorm(rng, size):
@@ -334,21 +313,15 @@ def systematic_resample(weights, rng):
     return np.searchsorted(cumsum, positions)
 
 
-def _weighted_cov(U, w):
-    """Weighted covariance of each run's cloud: U (R, N, dim), w (R, N) normalized."""
-    mean = np.einsum("rn,rnd->rd", w, U)
-    diff = U - mean[:, None, :]
-    cov = (diff * w[:, :, None]).transpose(0, 2, 1) @ diff
-    return 0.5 * (cov + cov.transpose(0, 2, 1))
-
-
-def _proposal_chol(U, w, dim, proposal):
+def _proposal_chol(U, dim, proposal):
     """Cholesky factors (R, dim, dim) of each run's proposal scale matrix.
 
-    The independence t takes the weighted cloud covariance itself; the
-    random walk takes it times ``2.38^2 / dim``.
+    ``U`` (R, N, dim) holds equally weighted clouds.  The independence t
+    takes each cloud's plain covariance itself; the random walk takes it
+    times ``2.38^2 / dim``.
     """
-    cov = _weighted_cov(U, w)
+    diff = U - U.mean(axis=1, keepdims=True)
+    cov = diff.transpose(0, 2, 1) @ diff / U.shape[1]
     if proposal == "random_walk":
         cov = cov * (2.38 ** 2 / dim)
     jitter = 1e-10 * np.maximum(1.0, np.trace(cov, axis1=1, axis2=2) / dim)
@@ -382,9 +355,7 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs, *, ce
     independence move: the proposal is ``centre + L z sqrt(nu / g)``, a
     multivariate t with nu = ``_T_DF`` degrees of freedom and g a chi^2_nu
     draw, and the log acceptance ratio carries ``log q(current) -
-    log q(proposal)``; :func:`_run_batch` makes ``_SWEEPS_BY_MODE`` sweeps
-    per stage, 3 of these in integrated mode and 25 random-walk sweeps in
-    full mode.  Each sweep draws every run's normals (then, for the
+    log q(proposal)``.  Each sweep draws every run's normals (then, for the
     t, every run's chi^2 draws), makes one prior and one likelihood call
     for all rows, then draws every run's uniforms: each run draws what it
     draws alone.  Returns the updated arrays, the acceptance rate over all
@@ -440,30 +411,33 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
     independence t) and then its uniforms.  Every stage starts from an
     equally weighted cloud and bisects its step to an ESS within 1% above
     the target; a step below the target was set by the stall guard and
-    counts as a forced step.  The runs that have not reached beta = 1 share
-    every prior and likelihood call and every bisection step; a run leaves
-    the batch after the stage in which it reaches 1.  With ``clouds=False``
-    it leaves right after that stage's increment, the last term of its
-    evidence: the resample and MH sweeps after it would only refresh a
-    posterior cloud, and the cloud returned is None.  The integrated
+    counts as a forced step.  The step's log weights are exponentiated once,
+    shifted by each run's maximum: their mean is the increment and their
+    normalized values are the resampling weights.  The runs that have not
+    reached beta = 1 share every prior and likelihood call and every
+    bisection step; a run leaves the batch after the stage in which it
+    reaches 1.  With ``clouds=False`` it leaves right after that stage's
+    increment, the last term of its evidence: the resample and MH sweeps
+    after it would only refresh a posterior cloud, and the cloud returned
+    is None.  The integrated
     likelihood splits large calls into blocks of bounded memory.  Each value
     equals the run's value alone up to rounding (kernels round a row
     slightly differently at other block sizes).
     """
     if n_particles < 50:
         raise ValueError("n_particles must be at least 50")
-    if mode not in _SWEEPS_BY_MODE:
-        raise ValueError("mode must be 'integrated' or 'full'")
+    target = build_target(stats, spec, mode)   # raises ValueError for an unknown mode
     sweeps, proposal = _SWEEPS_BY_MODE[mode], _PROPOSAL_BY_MODE[mode]
     ess_target = _ESS_TARGET_FRAC * n_particles
-    target = build_target(stats, spec, mode)
     rngs = [np.random.default_rng(int(seed) % 2 ** 64) for seed in seeds]
     R, N, dim = len(seeds), n_particles, target.dim
 
     U = np.stack([target.sample_prior(rng, N) for rng in rngs])
     flat = U.reshape(R * N, dim)
-    loglik = target.log_lik(flat).reshape(R, N)
     logprior = target.log_prior(flat).reshape(R, N)
+    # A draw of zero prior density gets no weight, although in full mode its
+    # likelihood (of eta drawn from the identity stand-in for Sigma_eta) is finite.
+    loglik = np.where(logprior == -np.inf, -np.inf, target.log_lik(flat).reshape(R, N))
     beta = np.zeros(R)
     stage = np.zeros(R, dtype=int)
     increments = [[] for _ in range(R)]
@@ -484,12 +458,15 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         new_beta = _next_beta(b, ll, ess_target)
         with np.errstate(invalid="ignore"):
             stepped = (new_beta - b)[:, None] * ll
-        norm = _logsumexp(stepped, axis=1)
-        for r, incr in zip(a, norm - np.log(N)):
-            increments[r].append(float(incr))
+        top = stepped.max(axis=1)
+        w = np.exp(stepped - top[:, None])   # the one pass: the increment and the resampling weights
+        total = w.sum(axis=1)
+        incr = np.log(total / N) + top
+        if not np.all(np.isfinite(incr)):
+            raise DegenerateCloudError(int(stage[a][~np.isfinite(incr)][0]))
+        for r, value in zip(a, incr):
+            increments[r].append(float(value))
         beta[a] = new_beta
-        if not np.all(np.isfinite(norm)):
-            raise DegenerateCloudError(int(stage[a][~np.isfinite(norm)][0]))
         ess = _ess(stepped)
         forced[a] += ess < ess_target
         for r, e in zip(a, ess):
@@ -498,28 +475,24 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
             going = new_beta < 1.0
             if not going.any():
                 break
-            a, stepped, norm, ess = a[going], stepped[going], norm[going], ess[going]
+            a, w, total, ess = a[going], w[going], total[going], ess[going]
 
-        w = np.exp(stepped - norm[:, None])
-        w = w / w.sum(axis=1, keepdims=True)
         for i in np.flatnonzero(ess < N):   # every stage whose weights differ
             r = a[i]
-            idx = systematic_resample(w[i], rngs[r])
+            idx = systematic_resample(w[i] / total[i], rngs[r])
             U[r], loglik[r], logprior[r] = U[r][idx], loglik[r][idx], logprior[r][idx]
-            w[i] = 1.0 / N
-        prop_chol = _proposal_chol(U[a], w, dim, proposal)
-        centre = np.einsum("rn,rnd->rd", w, U[a]) if proposal == "independence" else None
+        Ua = U[a]
+        prop_chol = _proposal_chol(Ua, dim, proposal)
+        centre = Ua.mean(axis=1) if proposal == "independence" else None
         Ua, lpa, lla, _, accept_rate[a] = _mh_sweeps(
-            U[a].reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
+            Ua.reshape(-1, dim), logprior[a].ravel(), loglik[a].ravel(), beta[a], target,
             sweeps, prop_chol, [rngs[r] for r in a], centre=centre,
         )
         U[a], logprior[a], loglik[a] = Ua.reshape(-1, N, dim), lpa.reshape(-1, N), lla.reshape(-1, N)
 
-    if not clouds:
-        return [(float(np.sum(increments[r])), int(stage[r]), int(forced[r]), None) for r in range(R)]
     results = []
     for r, seed in enumerate(seeds):
-        cloud = ParticleCloud(
+        cloud = None if not clouds else ParticleCloud(
             particles=U[r],
             log_weights=np.full(N, -np.log(N)),
             beta_temper=1.0,
@@ -530,7 +503,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
             ess_trace=tuple(ess_trace[r]),
             forced_steps=int(forced[r]),
         )
-        results.append((float(np.sum(increments[r])), cloud.stage, cloud.forced_steps, cloud))
+        results.append((float(np.sum(increments[r])), int(stage[r]), int(forced[r]), cloud))
     return results
 
 

@@ -5,6 +5,8 @@ the traced benchmark miscount without failing; these counters catch it.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +100,16 @@ def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
     assert tracer.counts["likelihood_core.integrated_calls"] == 1 + sweeps * (max(stages) - 1)
     assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (runs + sweeps * (sum(stages) - runs))
     assert tracer.counts["smc_engine.runs"] == 0   # the span counts run_smc calls only
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py, run from the repository root: every benchmark check
+    passes the package's own output and rejects a perturbed value."""
+    root = _SPANS.parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    checks = [line for line in lines[:-1] if line.strip()]
+    assert checks and all(line.startswith("ok ") for line in checks), done.stdout
+    assert lines[-1] == f"{len(checks)}/{len(checks)} checks behave", done.stdout

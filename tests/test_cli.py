@@ -262,6 +262,16 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv[1:])
 
 
+def test_readme_python_blocks_run(capsys):
+    """Every python block of the README runs as written, on its own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 class TestInputErrors:
     """A bad input file is one ``mlevidence: error:`` line on stderr and status 2."""
 
@@ -271,6 +281,12 @@ class TestInputErrors:
         "missing_column": ("county,floor,log_radon\nA,0,0.5\n",
                            "column 'log_uranium' not found in header"),
         "missing_file": (None, "No such file or directory"),
+        # 0.1 three times has a mean that rounds off 0.1, so its computed sd is 1.7e-17, not 0.
+        "constant_log_radon": ("county,floor,log_radon,log_uranium\nA,0,0.1,0.2\nB,1,0.1,0.3\n"
+                               "B,0,0.1,0.3\n",
+                               "cannot standardize column 'log_radon': the values are constant"),
+        "one_county": ("county,floor,log_radon,log_uranium\nA,0,0.5,0.2\nA,1,0.1,0.2\n",
+                       "cannot standardize column 'log_uranium' over counties"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
@@ -305,6 +321,50 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == f"mlevidence: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    BAD_SPECS = {
+        "unknown_family": ("family: Foo\nprior_mean: [0.0]\nprior_cov: [[1.0]]\n"
+                           "ig_y: {shape: 3.0, scale: 1.0}\n", "unknown family 'Foo'"),
+        "ig_y_without_scale": ("family: LinearModel\nprior_mean: [0.0]\nprior_cov: [[1.0]]\n"
+                               "ig_y: {shape: 3.0}\n", "missing 1 required positional argument"),
+        "missing_key": ("family: LinearModel\nprior_cov: [[1.0]]\n", "missing key 'prior_mean'"),
+        "yaml_syntax": ("family: LinearModel\nprior_mean: [0.0\n  bad: : :\n", "line 2, column"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_bad_spec_file_exits_2_with_one_line(self, tmp_path, capsys, case):
+        text, message = self.BAD_SPECS[case]
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(text)
+        data = tmp_path / "data.csv"
+        data.write_text("y,group,x0\n1.0,1,0.5\n2.0,1,0.1\n3.0,2,0.7\n")
+        argv = ["evidence", "--data", str(data), "--model", str(spec), "--particles", "50",
+                "--runs", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"mlevidence: error: {spec}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--data", str(data), "--models", str(spec), "--particles", "50",
+                     "--runs", "1", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["table"][0]["error"].startswith("InputError: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evidence", "--model", "sim:M0", "--runs", "0"], "--runs: must be at least 1, got 0"),
+        (["evidence", "--model", "sim:M0", "--particles", "10"],
+         "--particles: must be at least 50, got 10"),
+        (["compare", "--models", "sim:M0", "--particles", "49"],
+         "--particles: must be at least 50, got 49"),
+        (["fit-export", "--model", "radon:M0", "--particles", "10", "--out", "fits.csv"],
+         "--particles: must be at least 50, got 10"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--data", str(tmp_path / "absent.csv")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mlevidence ") and message in err
 
     def test_compare_keeps_an_error_row_per_model(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"

@@ -14,6 +14,7 @@ from mlevidence.likelihood_core import precompute
 from mlevidence.analytic_evidence import nig_log_evidence
 from mlevidence import smc_engine
 from mlevidence.smc_engine import (
+    DegenerateCloudError,
     EvidenceEstimate,
     _ESS_TARGET_FRAC,
     _ess,
@@ -168,7 +169,7 @@ def _rejuvenate(stats, spec, cloud, sweeps, rng):
     """The sampler's MH sweeps over one terminal cloud, at beta = 1."""
     target = build_target(stats, spec, "integrated")
     U = cloud.particles
-    prop_chol = _proposal_chol(U[None], cloud.normalized_weights()[None], target.dim, "random_walk")
+    prop_chol = _proposal_chol(U[None], target.dim, "random_walk")
     out, *_ = _mh_sweeps(
         U, target.log_prior(U), target.log_lik(U), np.ones(1), target, sweeps, prop_chol, [rng]
     )
@@ -256,6 +257,22 @@ class TestForcedSteps:
         assert cloud.forced_steps == 1
         assert cloud.ess_trace[0] < _ESS_TARGET_FRAC * n
         assert min(cloud.ess_trace[1:]) >= _ESS_TARGET_FRAC * n
+
+
+@pytest.mark.parametrize("mode", ["integrated", "full"])
+def test_prior_without_mass_is_a_degenerate_cloud_in_both_modes(mode):
+    """rho = -0.6 on three pairwise-correlated group effects makes every
+    Sigma_eta indefinite, so the prior has no mass.  Every draw has zero
+    weight in both modes (full mode once scored them by the likelihood of
+    eta drawn from the identity stand-in), and the all -inf weights are
+    read as a degenerate cloud at stage 1, not as NaN evidence."""
+    spec = general_spec(2, m=3, rho=-0.6, pattern=((0, 1), (1, 2), (0, 2)))
+    stats = precompute(make_dataset(np.random.default_rng(5), 60, 2, 3, 4))
+    with pytest.raises(DegenerateCloudError) as alone:
+        run_smc(stats, spec, mode, 50, seed=1)
+    with pytest.raises(DegenerateCloudError) as batch:
+        estimate_evidence(stats, spec, mode, 3, 50, 1)
+    assert alone.value.stage == batch.value.stage == 1
 
 
 def _one_group_linear_stats(n, d, noise, coef_scale):
@@ -483,28 +500,6 @@ def test_tempering_step_costs_few_ess_calls(monkeypatch):
 
 class TestScipyFreeHelpers:
     """The sampler's NumPy/stdlib replacements agree with SciPy's functions."""
-
-    def test_logsumexp_matches_scipy(self):
-        from scipy.special import logsumexp
-
-        from mlevidence.smc_engine import _logsumexp
-
-        rng = np.random.default_rng(7)
-        a = rng.normal(scale=30.0, size=(20, 50))
-        a[rng.random(a.shape) < 0.2] = -np.inf
-        a[3, :5] = a[3, 10]          # ties at the maximum
-        np.testing.assert_allclose(_logsumexp(a, axis=1), logsumexp(a, axis=1), rtol=1e-15, atol=0)
-        np.testing.assert_allclose(_logsumexp(a[4]), logsumexp(a[4]), rtol=1e-15, atol=0)
-        assert _logsumexp(2.5) == logsumexp(2.5) == 2.5
-
-    def test_logsumexp_all_neg_inf_row_is_neg_inf(self):
-        from mlevidence.smc_engine import _logsumexp
-
-        a = np.array([[-np.inf] * 4, [0.0, -np.inf, 1.0, 2.0]])
-        with np.errstate(all="raise"):
-            out = _logsumexp(a, axis=1)
-        assert out[0] == -np.inf
-        assert np.isfinite(out[1])
 
     def test_truncnorm_draws_match_ndtri(self):
         from scipy.special import ndtr, ndtri
