@@ -216,6 +216,9 @@ def _checked_row(row, rownum, col_index, group_col, columns):
     return [y] + [num(c) for c in columns[1:]], label
 
 
+_HEADER_SHOWN = 8   # header names a missing-column error lists before "… (n columns)"
+
+
 def _read(path, schema):
     """:func:`load_csv`'s Dataset, each row's group label as written, and each row's number.
 
@@ -237,7 +240,8 @@ def _read(path, schema):
         col_index = {name: i for i, name in enumerate(header)}
         for name in [columns[0], group_col] + columns[1:]:
             if name not in col_index:
-                raise SchemaError(f"column {name!r} not found in header {header}")
+                more = f" … ({len(header)} columns)" if len(header) > _HEADER_SHOWN else ""
+                raise SchemaError(f"column {name!r} not found in header {header[:_HEADER_SHOWN]}{more}")
         width = len(header)
         numeric = itemgetter(*(col_index[c] for c in columns))
         gi = col_index[group_col]

@@ -56,6 +56,39 @@ from mlevidence.model_spec import assemble_sigma_eta
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+class _Recent:
+    """The values built for the last ``size`` keys, a key being a tuple of objects compared by identity.
+
+    An entry holds its key's objects, so no id in a cached key can be
+    reused by a new object.  A hit makes its entry the newest; a miss
+    builds the value, first dropping the oldest entry when ``size`` are held.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.entries = {}   # ids -> (key objects, value), oldest first
+
+    def get(self, key, build):
+        ids = tuple(map(id, key))
+        entry = self.entries.pop(ids, None)
+        if entry is None:
+            entry = (key, build())
+            if len(self.entries) == self.size:
+                del self.entries[next(iter(self.entries))]
+        self.entries[ids] = entry
+        return entry[1]
+
+
+# Coefficient priors by spec, and kernels by (stats, spec, prior kind).  A
+# kernel is the whole fixed cost of a likelihood (an eigendecomposition and,
+# for a dense system, a design of up to a few MB), and a sampler run, its
+# posterior recovery and the next runs on the same data all ask for it.
+# Two entries cover an evidence estimate and its posterior, or two models
+# used in turn, while keeping at most two designs and their buffers alive.
+_PRIORS = _Recent(2)
+_KERNEL_CACHE = _Recent(2)
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Data-only sums required by the integrated likelihoods.
@@ -167,8 +200,19 @@ class CoefPrior(NamedTuple):
 
     @classmethod
     def of(cls, spec):
-        L, Linv, logdet = chol_inverse(spec.prior_cov)
-        return cls(Linv.T @ Linv, logdet, L)
+        """The prior of ``spec``, computed once while it is one of the last two specs asked for.
+
+        Its arrays are read-only, since every caller shares them.
+        """
+
+        def build():
+            L, Linv, logdet = chol_inverse(spec.prior_cov)
+            prec = Linv.T @ Linv
+            prec.setflags(write=False)
+            L.setflags(write=False)
+            return cls(prec, logdet, L)
+
+        return _PRIORS.get((spec,), build)
 
     @classmethod
     def flat(cls, d):
@@ -257,6 +301,10 @@ class System(NamedTuple):
     system also carries its rows' bordered matrices
     ``[[A, rhs], [rhs^T, datafit]]``, of which ``A``, ``rhs`` and
     ``datafit`` are views.
+
+    A dense system's arrays are views of buffers its kernel owns and
+    reuses, so they are valid until the kernel's next call: a caller that
+    keeps them longer copies them.
     """
 
     A: np.ndarray           # (P, d', d') dense, or (P, d') diagonal
@@ -462,8 +510,17 @@ def posterior_system(stats, spec, prior):
     Its ``scaled_rows`` is True when every row is the sigma2 = 1 row
     rescaled (the conjugate family with a proper prior), so that
     :func:`batch_log_integrated` needs that one row only.
+
+    A kernel is built once per ``(stats, spec, prior kind)``, flat or
+    proper, and returned again for the same objects while it is one of the
+    last two asked for (``_KERNEL_CACHE``).  A dense kernel writes each
+    :class:`System` into buffers it owns, so a result is valid until the
+    kernel's next call, from any caller; every caller in the package
+    consumes it first.  A kernel is therefore not to be called from two
+    threads at once.
     """
-    return _KERNELS[spec.family](stats, spec, prior)
+    flat = prior.chol is None
+    return _KERNEL_CACHE.get((stats, spec, flat), lambda: _KERNELS[spec.family](stats, spec, prior))
 
 
 def group_blocks(chol_eta, Gz, s2y):
@@ -526,7 +583,11 @@ def _dense_assembly(stats, eig, R):
     pair by pair, so the largest temporary is (J, k(k+1)/2).
 
     Returns ``dense(s2y, W, logdet, ok)``, W of shape (P, m, m, J): the
-    product gives each row's lower triangle, which is then mirrored.
+    product gives each row's lower triangle, which is then mirrored.  The
+    weights, the product and the mirrored matrices are written into
+    buffers that ``dense`` owns and grows to the largest block it has
+    seen, so a call allocates none of them afresh: the system it returns
+    is valid until its next call.
     """
     basis, lam, p, a, b = eig
     k = lam.size + 1
@@ -541,13 +602,18 @@ def _dense_assembly(stats, eig, R):
         rows.append(pair)
     design = np.concatenate(rows)
     d = k - 1
+    buffers = [np.empty((0, n)) for n in (design.shape[0], ti.size, k * k)]
 
     def dense(s2y, W, logdet, ok):
         P = s2y.shape[0]
-        weights = np.concatenate(
-            [np.ones((P, 1)), 1.0 / s2y[:, None], -W[:, ga, gb].reshape(P, -1)], axis=1
-        )
-        full = np.take(weights @ design, mirror, axis=1).reshape(P, k, k)
+        if P > buffers[0].shape[0]:
+            buffers[:] = [np.empty((P, buf.shape[1])) for buf in buffers]
+        weights, lower, full = (buf[:P] for buf in buffers)
+        weights[:, 0] = 1.0
+        np.divide(1.0, s2y, out=weights[:, 1])
+        np.negative(W[:, ga, gb].reshape(P, -1), out=weights[:, 2:])
+        np.matmul(weights, design, out=lower)
+        full = np.take(lower, mirror, axis=1, out=full, mode="clip").reshape(P, k, k)
         return System(
             A=full[:, :d, :d], rhs=full[:, :d, d], logdet=logdet, datafit=full[:, d, d], ok=ok,
             basis=basis, bordered=full,

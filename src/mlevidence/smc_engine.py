@@ -16,8 +16,10 @@ target itself: 3 sweeps of independence moves per stage, each proposal drawn
 from a multivariate t with 4 degrees of freedom centred at the cloud's mean,
 with its covariance as scale matrix (South, Pettitt & Drovandi 2019,
 "Sequential Monte Carlo samplers with independent Markov chain Monte Carlo
-proposals").  Full mode makes 25 random-walk sweeps per stage, with the
-cloud's covariance times 2.38^2 / dim.
+proposals").  Those proposals do not depend on the state, so a stage
+evaluates all of them in one prior and one likelihood call.  Full mode
+makes 25 random-walk sweeps per stage, with the cloud's covariance times
+2.38^2 / dim.
 
 Variance parameters are sampled on the log scale and correlations through
 atanh, with prior Jacobians included, so proposals never leave the support.
@@ -279,7 +281,7 @@ def _ess(logw):
 
 
 def _next_beta(beta, loglik, target_ess):
-    """Next tempering exponent of each run: a step whose ESS lies within 1% above the target.
+    """Next tempering exponent of each run, a step whose ESS lies within 1% above the target, and that ESS.
 
     ``beta`` (R,) and ``loglik`` (R, N) of equally weighted clouds, so a
     step's log weights are ``step * loglik``.  All runs bisect at once, one
@@ -287,11 +289,15 @@ def _next_beta(beta, loglik, target_ess):
     [target, (1 + ``_ESS_TOL``) target] or no float lies between its ends;
     its steps do not depend on the other runs.  Where no positive step keeps
     the target (more than N - target particles at zero likelihood), the
-    stall guard steps by 1e-6.
+    stall guard steps by 1e-6.  Each run's ESS is the one evaluated at its
+    returned step; only the stall guard's steps need an ESS call of their own.
     """
     with np.errstate(invalid="ignore"):
-        lo = np.where(_ess((1.0 - beta)[:, None] * loglik) >= target_ess, 1.0, beta)
-        hi, ess_lo = np.ones_like(lo), np.full_like(lo, np.inf)   # a zero step never solves a run
+        ess_one = _ess((1.0 - beta)[:, None] * loglik)
+        done = ess_one >= target_ess
+        lo = np.where(done, 1.0, beta)
+        hi = np.ones_like(lo)
+        ess_lo = np.where(done, ess_one, np.inf)   # a zero step never solves a run
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             a = np.flatnonzero((lo < mid) & (mid < hi) & (ess_lo > (1.0 + _ESS_TOL) * target_ess))
@@ -301,7 +307,11 @@ def _next_beta(beta, loglik, target_ess):
             ok = ess >= target_ess
             up, down = a[ok], a[~ok]
             lo[up], ess_lo[up], hi[down] = mid[up], ess[ok], mid[down]
-    return np.where(lo > beta, lo, np.minimum(1.0, beta + 1e-6))   # the stall guard
+        stalled = np.flatnonzero(lo <= beta)
+        lo[stalled] = np.minimum(1.0, beta[stalled] + 1e-6)   # the stall guard
+        if stalled.size:
+            ess_lo[stalled] = _ess((lo[stalled] - beta[stalled])[:, None] * loglik[stalled])
+    return lo, ess_lo
 
 
 def systematic_resample(weights, rng):
@@ -345,21 +355,52 @@ def _t_log_kernel(dist2, dim):
     return -0.5 * (_T_DF + dim) * np.log1p(dist2 / _T_DF)
 
 
+def _independence_moves(centre, prop_chol, sweeps, N, rngs, target):
+    """Every sweep's independence proposals, drawn and evaluated at once.
+
+    Each run draws, sweep after sweep, its normals, its chi^2 draws and its
+    uniforms: the draws it would make sweep by sweep, in the same order,
+    since a proposal does not depend on the state it is to replace.  The
+    proposals of all sweeps and runs go through one prior and one
+    likelihood call.  Returns the proposals (sweeps, R * N, dim), their log
+    prior, log likelihood and log t kernel, and the uniforms, each
+    (sweeps, R * N).
+    """
+    R, dim = centre.shape
+    z, g, u = np.empty((sweeps, R, N, dim)), np.empty((sweeps, R, N)), np.empty((sweeps, R, N))
+    for r, rng in enumerate(rngs):
+        for s in range(sweeps):
+            z[s, r] = rng.standard_normal((N, dim))
+            g[s, r] = rng.chisquare(_T_DF, N)
+            u[s, r] = rng.random(N)
+    shrink = _T_DF / g
+    step = z @ prop_chol.transpose(0, 2, 1)
+    prop = (centre[:, None, :] + step * np.sqrt(shrink)[..., None]).reshape(-1, dim)
+    rows = (sweeps, R * N)
+    return (
+        prop.reshape(rows + (dim,)), target.log_prior(prop).reshape(rows),
+        target.log_lik(prop).reshape(rows),
+        _t_log_kernel(np.sum(z * z, axis=3) * shrink, dim).reshape(rows), u.reshape(rows),
+    )
+
+
 def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs, *, centre=None):
     """Batched Metropolis-Hastings sweeps over the stacked clouds of R runs.
 
     U (R * N, dim) holds run r's particles in rows r N .. (r + 1) N - 1,
     ``beta`` (R,) and ``prop_chol`` (R, dim, dim) are per run, and ``rngs``
     holds the R generators.  Without ``centre`` each move is a random-walk
-    step ``L z`` from the particle.  With ``centre`` (R, dim) it is an
-    independence move: the proposal is ``centre + L z sqrt(nu / g)``, a
-    multivariate t with nu = ``_T_DF`` degrees of freedom and g a chi^2_nu
-    draw, and the log acceptance ratio carries ``log q(current) -
-    log q(proposal)``.  Each sweep draws every run's normals (then, for the
-    t, every run's chi^2 draws), makes one prior and one likelihood call
-    for all rows, then draws every run's uniforms: each run draws what it
-    draws alone.  Returns the updated arrays, the acceptance rate over all
-    rows and each run's rate.
+    step ``L z`` from the particle: each sweep draws every run's normals,
+    makes one prior and one likelihood call for all rows, then draws every
+    run's uniforms.  With ``centre`` (R, dim) it is an independence move:
+    the proposal is ``centre + L z sqrt(nu / g)``, a multivariate t with
+    nu = ``_T_DF`` degrees of freedom and g a chi^2_nu draw, and the log
+    acceptance ratio carries ``log q(current) - log q(proposal)``.  Those
+    proposals do not depend on the state, so all sweeps' proposals are
+    drawn and evaluated first (:func:`_independence_moves`) and the sweeps
+    then only accept or reject.  Either way each run draws what it draws
+    alone.  Returns the updated arrays, the acceptance rate over all rows
+    and each run's rate.
     """
     R = len(rngs)
     N, dim = U.shape[0] // R, U.shape[1]
@@ -369,25 +410,21 @@ def _mh_sweeps(U, logprior, loglik, beta, target, sweeps, prop_chol, rngs, *, ce
         diff = U.reshape(R, N, dim) - centre[:, None, :]
         t = solve_lower(prop_chol[:, None], diff[..., None])[..., 0]
         logq = _t_log_kernel(np.sum(t * t, axis=2), dim).ravel()
-    for _ in range(sweeps):
-        z = np.stack([rng.standard_normal((N, dim)) for rng in rngs])
-        step = z @ prop_chol.transpose(0, 2, 1)
+        moves = _independence_moves(centre, prop_chol, sweeps, N, rngs, target)
+    for s in range(sweeps):
         if centre is None:
-            prop = U + step.reshape(U.shape)
+            z = np.stack([rng.standard_normal((N, dim)) for rng in rngs])
+            prop = U + (z @ prop_chol.transpose(0, 2, 1)).reshape(U.shape)
+            lp_prop, ll_prop = target.log_prior(prop), target.log_lik(prop)
+            u = np.concatenate([rng.random(N) for rng in rngs])
         else:
-            g = np.stack([rng.chisquare(_T_DF, N) for rng in rngs])
-            shrink = _T_DF / g
-            prop = (centre[:, None, :] + step * np.sqrt(shrink)[..., None]).reshape(U.shape)
-            logq_prop = _t_log_kernel(np.sum(z * z, axis=2) * shrink, dim).ravel()
-        lp_prop = target.log_prior(prop)
-        ll_prop = target.log_lik(prop)
+            prop, lp_prop, ll_prop, logq_prop, u = (part[s] for part in moves)
         cur = logprior + beta_rows * loglik
         new = lp_prop + beta_rows * ll_prop
         with np.errstate(invalid="ignore"):
             log_ratio = new - cur
             if centre is not None:
                 log_ratio += logq - logq_prop
-        u = np.concatenate([rng.random(N) for rng in rngs])
         accept = np.log(u) < log_ratio
         U = np.where(accept[:, None], prop, U)
         logprior = np.where(accept, lp_prop, logprior)
@@ -455,7 +492,7 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         if not np.all(finite):
             raise DegenerateCloudError(int(stage[a][~finite][0]))
         b = beta[a]
-        new_beta = _next_beta(b, ll, ess_target)
+        new_beta, ess = _next_beta(b, ll, ess_target)
         with np.errstate(invalid="ignore"):
             stepped = (new_beta - b)[:, None] * ll
         top = stepped.max(axis=1)
@@ -467,7 +504,6 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         for r, value in zip(a, incr):
             increments[r].append(float(value))
         beta[a] = new_beta
-        ess = _ess(stepped)
         forced[a] += ess < ess_target
         for r, e in zip(a, ess):
             ess_trace[r].append(float(e))
@@ -527,8 +563,9 @@ def derive_run_seed(master_seed, run_index):
 def estimate_evidence(stats, spec, mode, n_runs, n_particles, master_seed):
     """Independent SMC runs with derived seeds, aggregated to an EvidenceEstimate.
 
-    The runs advance in lockstep as one batch in one process: one
-    likelihood call per MH sweep for all of them.  A run stops at the
+    The runs advance in lockstep as one batch in one process: in
+    integrated mode one likelihood call per stage for all of them (per MH
+    sweep in full mode).  A run stops at the
     increment that takes it to beta = 1, without the resample and MH
     sweeps that :func:`run_smc` then makes for its posterior cloud.  Run k
     equals :func:`run_smc` with seed ``derive_run_seed(master_seed, k)``

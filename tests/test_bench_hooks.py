@@ -63,7 +63,8 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
 def test_layer_hooks_count_general_multilevel_rows(rng):
     """GeneralMultilevel rows reach the likelihood through the wrapped
     ``batch_log_integrated``: one call for the initial cloud, then one per
-    MH sweep, each of all the particles."""
+    stage for the proposals of all its MH sweeps, each sweep proposing a
+    move for every particle."""
     spans = _load_spans()
     stats = likelihood_core.precompute(make_dataset(rng, 40, 2, 2, 3))
     spec = general_spec(2, m=2, sampled_rho=True)
@@ -73,17 +74,17 @@ def test_layer_hooks_count_general_multilevel_rows(rng):
         _, cloud = smc_engine.run_smc(stats, spec, "integrated", 50, seed=3)
     finally:
         tracer.uninstall()
-    calls = 1 + smc_engine._SWEEPS_BY_MODE["integrated"] * cloud.stage
+    sweeps = smc_engine._SWEEPS_BY_MODE["integrated"]
     assert tracer.counts["smc_engine.stages"] == cloud.stage
-    assert tracer.counts["likelihood_core.integrated_calls"] == calls
-    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * calls
+    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + cloud.stage
+    assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (1 + sweeps * cloud.stage)
 
 
-def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
+def test_layer_hooks_count_one_likelihood_call_per_stage_for_all_runs(rng):
     """The runs of an evidence estimate share every likelihood call: one for
-    the initial clouds, then one per MH sweep while any run is left.  A run
-    makes no MH sweeps after its last stage, so each run sweeps one stage
-    fewer than it has."""
+    the initial clouds, then one per stage, for all MH sweeps' proposals,
+    while any run is left.  A run makes no MH sweeps after its last stage,
+    so each run sweeps one stage fewer than it has."""
     spans = _load_spans()
     stats = likelihood_core.precompute(make_dataset(rng, 60, 2, 0, 3))
     spec = simple_spec(2)
@@ -97,7 +98,7 @@ def test_layer_hooks_count_one_likelihood_call_per_sweep_for_all_runs(rng):
     stages = est.stage_counts
     runs = len(stages)
     assert tracer.counts["smc_engine.mh_proposals"] == sweeps * 50 * (sum(stages) - runs)
-    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + sweeps * (max(stages) - 1)
+    assert tracer.counts["likelihood_core.integrated_calls"] == 1 + (max(stages) - 1)
     assert tracer.counts["likelihood_core.integrated_rows"] == 50 * (runs + sweeps * (sum(stages) - runs))
     assert tracer.counts["smc_engine.runs"] == 0   # the span counts run_smc calls only
 

@@ -92,6 +92,17 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(p, self.SCHEMA)
 
+    def test_missing_column_error_shows_the_first_eight_header_names(self, tmp_path):
+        """A wide header is cut to its first 8 names and its width, as on a 55-column simulator CSV."""
+        names = ["y", "group"] + [f"x{i}" for i in range(46)] + [f"z{i}" for i in range(6)] + ["t"]
+        p = self.write(tmp_path, ",".join(names) + "\n" + ",".join(["1"] * 55) + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_csv(p, {"y": "log_radon", "group": "county", "x": ["floor"]})
+        assert str(exc.value) == (
+            "column 'log_radon' not found in header "
+            "['y', 'group', 'x0', 'x1', 'x2', 'x3', 'x4', 'x5'] … (55 columns)"
+        )
+
     def test_non_numeric_cell_reports_row(self, tmp_path):
         p = self.write(tmp_path, "y,g,a,b\n1.0,1,1,0\nbad,1,0,1\n")
         with pytest.raises(ParseError) as exc:

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,3 +532,80 @@ class TestPrecomputeSegments:
         assert s.J == 0 and s.sum_yy == 0.0
         assert s.group_cross_xz.shape == (0, 2, 1) and s.group_gram_zz.shape == (0, 1, 1)
         np.testing.assert_array_equal(s.gram_xx, np.zeros((2, 2)))
+
+
+class TestKernelReuse:
+    """A kernel is built once per (stats, spec, prior kind), and a dense one reuses its buffers."""
+
+    def test_sampler_and_posterior_build_the_kernel_once(self, rng, monkeypatch):
+        from mlevidence.posterior_analysis import recover_beta_posterior
+        from mlevidence.smc_engine import run_smc
+
+        builds = []
+
+        def counted(build):
+            def kernel(stats, spec, prior):
+                builds.append((stats, spec))
+                return build(stats, spec, prior)
+
+            return kernel
+
+        for family, build in list(likelihood_core._KERNELS.items()):
+            monkeypatch.setitem(likelihood_core._KERNELS, family, counted(build))
+        monkeypatch.setattr(likelihood_core, "_KERNEL_CACHE", likelihood_core._Recent(2))
+        stats, spec = precompute(make_dataset(rng, 60, 2, 2, 3)), general_spec(2, m=2)
+        _, cloud = run_smc(stats, spec, "integrated", 50, seed=3)
+        recover_beta_posterior(cloud, stats, spec, "integrated")
+        assert builds == [(stats, spec)]
+        for k in range(5):
+            other = precompute(make_dataset(rng, 40, 2, 0, 3))
+            batch_log_integrated(other, simple_spec(2) if k % 2 else lm_spec(2))
+        assert len(builds) == 6
+        assert len(likelihood_core._KERNEL_CACHE.entries) <= 2
+
+    def test_dense_system_is_the_same_after_larger_blocks(self, rng):
+        """Growing the buffers for a larger block leaves a smaller block's values as they were."""
+        stats, spec = precompute(make_dataset(rng, 60, 3, 2, 4)), general_spec(3, m=2)
+        system = likelihood_core.posterior_system(stats, spec, likelihood_core.CoefPrior.of(spec))
+        small = rng.uniform(0.3, 2.0, (3, 3))
+        first = system(small)
+        assert first.A.ndim == 3
+        first = first.bordered.copy()
+        system(rng.uniform(0.3, 2.0, (40, 3)))
+        np.testing.assert_array_equal(system(small).bordered, first)
+
+
+_FAULTS_PROBE = """
+import resource
+import numpy as np
+from mlevidence.likelihood_core import batch_log_integrated, precompute
+from mlevidence.simulation_study import SimConfig, builtin_model_specs, generate_dataset
+data = generate_dataset("D2", SimConfig(), np.random.default_rng(0))[0]
+spec = builtin_model_specs("M2")
+loglik = batch_log_integrated(precompute(data), spec)
+rows = np.random.default_rng(1).uniform(0.5, 2.0, (100, spec.layout.n_params))
+loglik(rows)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(49):
+    loglik(rows)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 49)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts are measured against glibc's allocator")
+def test_dense_kernel_takes_no_fresh_pages_per_call():
+    """A sim:M2 likelihood called again and again faults in no new pages.
+
+    Without buffers of its own, each call's block-sized temporaries were
+    mapped fresh from the system once the kernel lived on: about 830 minor
+    page faults per 100-row call.  Run in a fresh interpreter, so that no
+    earlier allocation sets glibc's thresholds.
+    """
+    src = str(Path(likelihood_core.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PROBE], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) <= 20.0, proc.stdout
