@@ -22,11 +22,16 @@ is factored densely.
 
 A dense system is assembled for all rows of a block by one matrix
 product (:func:`_dense_assembly`): per-row weights against a design of
-stacked per-group outer products, built once per kernel.  The
-GeneralMultilevel group blocks take lme4's relative covariance factor
-Lambda = chol(Sigma_eta) (:func:`group_blocks`), so Sigma_eta is never
-inverted, and their m x m blocks are factored and inverted one column at
-a time over all rows and groups at once, with no LAPACK call per block.
+stacked per-group outer products, built once per kernel.  A group's
+block and weight depend on the group only through Z_j^T Z_j, so a dense
+kernel keeps one group block per distinct Z_j^T Z_j
+(:func:`_gram_classes`): its design sums the outer products of the groups
+that share one, and the per-group log-determinants become a sum weighted
+by the groups per class.  The GeneralMultilevel group blocks take lme4's
+relative covariance factor Lambda = chol(Sigma_eta) (:func:`group_blocks`),
+so Sigma_eta is never inverted, and their m x m blocks are factored and
+inverted one column at a time over all rows and blocks at once, with no
+LAPACK call per block.
 No evaluator runs an LU solve on a triangular factor: residual quadratic
 forms come from a bordered Cholesky factor, other solves from forward
 substitution (:func:`solve_lower`).
@@ -47,6 +52,7 @@ Gaussian marginals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -220,14 +226,34 @@ class CoefPrior(NamedTuple):
         return cls(np.zeros((d, d)), 0.0, None)
 
 
+@lru_cache
 def _tril_mirror(k):
     """``(ti, tj, mirror)``: the (i, j) of the k x k lower triangle, entry by
     entry, and for each entry of a flattened k x k matrix the index of its
-    lower-triangle entry."""
+    lower-triangle entry.  Built once per k, as read-only arrays."""
     ti, tj = np.tril_indices(k)
     mirror = np.empty((k, k), dtype=np.intp)
     mirror[ti, tj] = mirror[tj, ti] = np.arange(ti.size)
-    return ti, tj, mirror.ravel()
+    mirror = mirror.ravel()
+    for a in (ti, tj, mirror):
+        a.setflags(write=False)
+    return ti, tj, mirror
+
+
+class _Buffers:
+    """Per-row work arrays that a kernel owns, grown to the largest block it has seen.
+
+    ``take(P)`` gives P-row views of them, so a call of P rows allocates
+    none of them afresh: what is written there is valid until the next call.
+    """
+
+    def __init__(self, *widths):
+        self.arrays = [np.empty((0, w)) for w in widths]
+
+    def take(self, P):
+        if P > self.arrays[0].shape[0]:
+            self.arrays = [np.empty((P, a.shape[1])) for a in self.arrays]
+        return [a[:P] for a in self.arrays]
 
 
 class LowRank(NamedTuple):
@@ -239,7 +265,8 @@ class LowRank(NamedTuple):
     ``V diag(x) V^T`` of every row is one product of x with ``pairs``,
     with no (P, r, d') temporary.  ``mirror`` maps the entries of an
     (r+1) x (r+1) bordered matrix to those columns, then to r border
-    columns and a corner.
+    columns and a corner.  ``buffers`` are the kernel's own, shared by every
+    block's V, and hold the bordered matrices of :meth:`bordered`.
     """
 
     scale: np.ndarray       # (P, r)
@@ -247,6 +274,7 @@ class LowRank(NamedTuple):
     pairs: np.ndarray       # (d', r(r+1)/2)
     tri: tuple              # (i, j) of each column of ``pairs``
     mirror: np.ndarray      # ((r+1)^2,)
+    buffers: _Buffers       # lower triangles (P, r(r+1)/2 + r + 1), matrices (P, (r+1)^2)
 
     @classmethod
     def of(cls, rows):
@@ -254,7 +282,8 @@ class LowRank(NamedTuple):
         r = rows.shape[0]
         ti, tj, mirror = _tril_mirror(r + 1)
         ti, tj = ti[ti < r], tj[ti < r]
-        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror)
+        buffers = _Buffers(ti.size + r + 1, (r + 1) ** 2)
+        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror, buffers)
 
     def scaled(self, scale):
         return self._replace(scale=scale)
@@ -264,13 +293,15 @@ class LowRank(NamedTuple):
 
         x and y are (P, d'), c is (P,).  With x = 1/A and y = rhs this is
         K = I - V D^-1 V^T bordered by V D^-1 rhs (see :func:`logdet_resid`).
+        The result is written into the kernel's buffers: it is valid until
+        the next call.
         """
         ti, tj = self.tri
         v = self.scale
         P, r = v.shape
         n = ti.size
         # Built in place: fresh (P, n) temporaries cost more than the arithmetic.
-        lower = np.empty((P, n + r + 1))
+        lower, full = self.buffers.take(P)
         K = lower[:, :n]
         np.matmul(x, self.pairs, out=K)
         K *= v[:, ti]
@@ -279,7 +310,7 @@ class LowRank(NamedTuple):
         K[:, ti == tj] += 1.0
         np.multiply(v, (x * y) @ self.rows.T, out=lower[:, n:n + r])
         lower[:, n + r] = c
-        return np.take(lower, self.mirror, axis=1).reshape(P, r + 1, r + 1)
+        return np.take(lower, self.mirror, axis=1, out=full, mode="clip").reshape(P, r + 1, r + 1)
 
     def dense(self):
         """The full V of shape (P, r, d')."""
@@ -302,9 +333,10 @@ class System(NamedTuple):
     ``[[A, rhs], [rhs^T, datafit]]``, of which ``A``, ``rhs`` and
     ``datafit`` are views.
 
-    A dense system's arrays are views of buffers its kernel owns and
-    reuses, so they are valid until the kernel's next call: a caller that
-    keeps them longer copies them.
+    A dense system's arrays, and the bordered matrices of a low-rank
+    term's :meth:`LowRank.bordered`, are views of buffers its kernel owns
+    and reuses, so they are valid until the kernel's next call of the
+    same kind: a caller that keeps them longer copies them.
     """
 
     A: np.ndarray           # (P, d', d') dense, or (P, d') diagonal
@@ -394,19 +426,24 @@ def _sm_kernel(stats, spec, prior):
     ``w_j = sigma2_eta / (sigma2_y + n_j sigma2_eta)`` and x_j the group's
     column sums.  In the :func:`_eigenbasis` that is the diagonal
     single-level precision minus ``V^T V``, where row j of V is
-    ``sqrt(w_j / sigma2_y) basis^T x_j``: a rank-J correction.
+    ``sqrt(w_j / sigma2_y) basis^T x_j``: a rank-J correction.  Here
+    Z_j^T Z_j = n_j, so the weights and the ``log(1 + n_j sigma2_eta /
+    sigma2_y)`` terms are computed once per distinct group size
+    (:func:`_gram_classes`).
 
     This is where the form of the solves is chosen, from shapes alone.
     While J < d the system keeps V, so that the solves need only a J x J
     Woodbury factor per row.  Otherwise the system is dense: the m = 1
     case of the GeneralMultilevel assembly (:func:`_dense_assembly`), with
     group weight ``w_j / sigma2_y`` on the outer product of
-    ``R_j = [basis^T x_j  Y_j]``, Y_j the group's response sum.
+    ``R_j = [basis^T x_j  Y_j]``, Y_j the group's response sum, so that it
+    holds one group block per distinct n_j.
     """
     eig = basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
     d = lam.size
     quad = a @ a
-    nj = stats.n_per_group.astype(float)
+    grams, inverse, counts = classes = _gram_classes(stats.n_per_group.astype(float)[:, None, None])
+    sizes = grams[:, 0, 0]
     Yj = stats.group_sum_y
     Xb = stats.group_sum_x @ basis          # (J, d): rows basis^T x_j
     low_rank = stats.J < d
@@ -415,16 +452,17 @@ def _sm_kernel(stats, spec, prior):
         yy = Yj ** 2
         V = LowRank.of(Xb)
     else:
-        dense = _dense_assembly(stats, eig, np.concatenate([Xb, Yj[:, None]], axis=1)[:, None])
+        dense = _dense_assembly(stats, eig, np.concatenate([Xb, Yj[:, None]], axis=1)[:, None], classes)
 
     def system(nat):
         s2y, s2e = nat[:, 0], nat[:, 1]
-        w = s2e[:, None] / (s2y[:, None] + nj[None, :] * s2e[:, None])
+        w = s2e[:, None] / (s2y[:, None] + sizes[None, :] * s2e[:, None])    # (P, U)
         # log|L L^T| itself cancels against |det basis|^2.
-        logdet = stats.n * np.log(s2y) + np.sum(np.log1p(nj * s2e[:, None] / s2y[:, None]), axis=1)
+        logdet = stats.n * np.log(s2y) + np.log1p(sizes * s2e[:, None] / s2y[:, None]) @ counts
         ok = np.ones(s2y.shape, dtype=bool)
         if not low_rank:
             return dense(s2y, (w / s2y[:, None])[:, None, None, :], logdet, ok)
+        w = w[:, inverse]
         return System(
             A=p + lam[None, :] / s2y[:, None],
             rhs=p * a[None, :] + (b[None, :] - w @ yXb) / s2y[:, None],
@@ -439,7 +477,7 @@ def _sm_kernel(stats, spec, prior):
     # sim:M1's 16-run batches at several block sizes (200-row blocks beat
     # 400-row ones), while the dense count stays (d+1)^2 because halving
     # sim:M2's blocks was slower.
-    system.row_entries = 2 * (stats.J + 1) ** 2 + 2 * d if low_rank else max((d + 1) ** 2, stats.J)
+    system.row_entries = 2 * (stats.J + 1) ** 2 + 2 * d if low_rank else max((d + 1) ** 2, counts.size)
     system.scaled_rows = False
     return system
 
@@ -452,11 +490,14 @@ def _gm_kernel(stats, spec, prior):
     never forms Sigma_eta^-1: :func:`group_blocks` works with the relative
     covariance factor Lambda = chol(Sigma_eta), as lme4 does, and returns
     ``M_j^-1 = Lambda K_j^-1 Lambda^T`` and
-    ``J log|Sigma_eta| + sum_j log|M_j| = sum_j log|K_j|``.
+    ``log|Sigma_eta| + log|M_j| = log|K_j|``.  Both depend on a group
+    only through G_j, so they are computed once per distinct G_j
+    (:func:`_gram_classes`), and ``sum_j log|K_j|`` is their sum weighted
+    by the groups per class.
 
     Each row's bordered matrix ``[[A, rhs], [rhs^T, datafit]]`` is then one
-    product (:func:`_dense_assembly`), with group weights
-    ``M_j^-1 / sigma2_y^2`` on the outer products of the rows of
+    product (:func:`_dense_assembly`), with class weights
+    ``M_j^-1 / sigma2_y^2`` on the summed outer products of the rows of
     ``R_j = [C_j^T basis  s_j]``, C_j = X_j^T Z_j and s_j = Z_j^T y_j.
 
     Rows whose group-level covariance fails the positive-definiteness gate
@@ -467,12 +508,14 @@ def _gm_kernel(stats, spec, prior):
     R = np.concatenate(
         [stats.group_cross_xz.transpose(0, 2, 1) @ eig[0], stats.group_sum_zy[:, :, None]], axis=2
     )                                                         # (J, m, d+1)
-    dense = _dense_assembly(stats, eig, R)
+    grams, _, counts = classes = _gram_classes(stats.group_gram_zz)
+    dense = _dense_assembly(stats, eig, R, classes)
 
     def system(nat):
         s2y = nat[:, 0]
-        se, ok = layout.sigma_eta(nat)
-        m_inv, logdet_k = group_blocks(np.linalg.cholesky(se), stats.group_gram_zz, s2y)
+        chol, ok = layout.sigma_eta(nat)
+        m_inv, logdet_k = group_blocks(chol, grams, s2y)
+        logdet_k = logdet_k @ counts
         # Rounding can drive a sweep pivot below zero (exactly it is >= 1) at
         # variance ratios near 1e16 with a singular Z_j^T Z_j: mask the row.
         ok = ok & np.isfinite(logdet_k)
@@ -480,8 +523,8 @@ def _gm_kernel(stats, spec, prior):
         logdet = stats.n * np.log(s2y) + logdet_k
         return dense(s2y, m_inv / (s2y ** 2)[:, None, None, None], logdet, ok)
 
-    # The sweeps of group_blocks hold about six (m, m, J) arrays per row at once.
-    system.row_entries = max((eig[1].size + 1) ** 2, 6 * stats.group_gram_zz.size)
+    # group_blocks and the weights hold about six (m, m) blocks per distinct G_j per row at once.
+    system.row_entries = max((eig[1].size + 1) ** 2, 6 * grams.size)
     system.scaled_rows = False
     return system
 
@@ -504,9 +547,10 @@ def posterior_system(stats, spec, prior):
     ``row_entries`` sets the block sizes of :func:`batch_log_integrated`
     and of the conditional posteriors of a coefficient mixture.
     It is the size of a row's largest array (the bordered matrix of a
-    dense system, the group blocks, or the d' diagonal), except for a
-    low-rank SimpleMultilevel system, whose count ``2 (J+1)^2 + 2 d'`` was
-    chosen by timing block sizes rather than by counting the row's memory.
+    dense system, the blocks of the distinct Z_j^T Z_j, or the d' diagonal),
+    except for a low-rank SimpleMultilevel system, whose count
+    ``2 (J+1)^2 + 2 d'`` was chosen by timing block sizes rather than by
+    counting the row's memory.
     Its ``scaled_rows`` is True when every row is the sigma2 = 1 row
     rescaled (the conjugate family with a proper prior), so that
     :func:`batch_log_integrated` needs that one row only.
@@ -514,82 +558,108 @@ def posterior_system(stats, spec, prior):
     A kernel is built once per ``(stats, spec, prior kind)``, flat or
     proper, and returned again for the same objects while it is one of the
     last two asked for (``_KERNEL_CACHE``).  A dense kernel writes each
-    :class:`System` into buffers it owns, so a result is valid until the
-    kernel's next call, from any caller; every caller in the package
-    consumes it first.  A kernel is therefore not to be called from two
-    threads at once.
+    :class:`System`, and a low-rank one its bordered Woodbury matrices,
+    into buffers it owns, so a result is valid until the kernel's next
+    call, from any caller; every caller in the package consumes it first.
+    A kernel is therefore not to be called from two threads at once.
     """
     flat = prior.chol is None
     return _KERNEL_CACHE.get((stats, spec, flat), lambda: _KERNELS[spec.family](stats, spec, prior))
 
 
+def _gram_classes(grams):
+    """Groups by their Gram matrix Z_j^T Z_j (J, m, m): ``(distinct, inverse, counts)``.
+
+    ``distinct`` (U, m, m) holds the U distinct matrices in ``np.unique``'s
+    order, ``inverse`` (J,) the class of each group and ``counts`` (U,),
+    as floats, the groups per class.  A group's block, its weight and its
+    log-determinant depend on the group only through its Gram matrix, so
+    a kernel computes them once per class.
+    """
+    J, m = grams.shape[:2]
+    distinct, inverse, counts = np.unique(
+        grams.reshape(J, m * m), axis=0, return_inverse=True, return_counts=True
+    )
+    return distinct.reshape(-1, m, m), inverse.reshape(J), counts.astype(float)
+
+
 def group_blocks(chol_eta, Gz, s2y):
-    """Group blocks in lme4's relative-factor form: ``M_j^-1`` and ``sum_j log|K_j|``.
+    """Group blocks in lme4's relative-factor form: ``M_j^-1`` and ``log|K_j|``.
 
     ``chol_eta`` (P, m, m) is Lambda = chol(Sigma_eta) of each row, ``Gz``
     (J, m, m) the groups' Z_j^T Z_j and ``s2y`` (P,) the noise variances.
     With ``K_j = I + Lambda^T G_j Lambda / sigma2_y``, the precision
     ``M_j = Sigma_eta^-1 + G_j / sigma2_y`` is ``Lambda^-T K_j Lambda^-1``,
     so ``M_j^-1 = Lambda K_j^-1 Lambda^T`` and
-    ``J log|Sigma_eta| + sum_j log|M_j| = sum_j log|K_j|``: Sigma_eta is
-    never inverted.
+    ``log|Sigma_eta| + log|M_j| = log|K_j|``: Sigma_eta is never inverted.
+    The blocks depend on a group only through G_j, so the kernels pass one
+    G_j per distinct Gram matrix (:func:`_gram_classes`).
 
     Lambda^T G_j Lambda of all groups is one product of the Kronecker form
     of Lambda against the (m^2, J) Gram stack, and Lambda K_j^-1 Lambda^T
     one product of its transpose.  K_j is factored and inverted together
-    by symmetric Gauss-Jordan sweeps, one column per step, each step a few
-    array operations over all P * J blocks at once.  The sweep's pivots are
-    the squared diagonal of the Cholesky factor of K_j, Schur complements
-    of a matrix >= I, so each is >= 1 and needs no guard even where
-    Sigma_eta is nearly singular; log|K_j| is the sum of their logs.
-    Returns ``M_j^-1`` as (P, m, m, J) and the log-determinants as (P,).
+    by symmetric Gauss-Jordan sweeps on its lower triangle, one column per
+    step, each step a few operations on one contiguous (P, J) plane per
+    entry.  The sweep's pivots are the squared diagonal of the Cholesky
+    factor of K_j, Schur complements of a matrix >= I, so each is >= 1 and
+    needs no guard even where Sigma_eta is nearly singular; log|K_j| is
+    the sum of their logs.  Returns ``M_j^-1`` as (P, m, m, J) and the
+    log-determinants as (P, J).
     """
     P, m = chol_eta.shape[:2]
     J = Gz.shape[0]
+    ti, tj, mirror = _tril_mirror(m)
+    at = mirror.reshape(m, m)       # at[a, b]: the plane of entry (a, b)
     kron = np.einsum("pka,plb->pabkl", chol_eta, chol_eta).reshape(P, m * m, m * m)
-    # K_j, entry-major: each K[a, b] is a contiguous (P, J) plane.
-    K = np.empty((m, m, P, J))
-    LGL = (kron @ Gz.reshape(J, m * m).T).transpose(1, 0, 2).reshape(m, m, P, J)
-    np.divide(LGL, s2y[:, None], out=K)
-    K[range(m), range(m)] += 1.0
-    pivots = []
+    K = np.empty((ti.size, P, J))
+    LGL = kron[:, ti * m + tj].reshape(-1, m * m) @ Gz.reshape(J, m * m).T    # one product
+    np.divide(LGL.reshape(P, ti.size, J).transpose(1, 0, 2), s2y[:, None], out=K)
+    K[at[range(m), range(m)]] += 1.0
+    logdet = np.zeros((P, J))
     # A pivot that rounding drove to zero or below gives a non-finite log-determinant.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
-            d = K[k, k].copy()
-            col = K[:, k] / d
-            K -= col[:, None] * K[k]
-            K[:, k] = K[k] = col
-            K[k, k] = -1.0 / d
-            pivots.append(d)
+            d = K[at[k, k]]
+            logdet += np.log(d)
+            col = {i: K[at[i, k]] / d for i in range(m) if i != k}
+            for i, j in zip(ti, tj):
+                if i != k and j != k:
+                    K[at[i, j]] -= col[i] * K[at[j, k]]
+            for i, c in col.items():
+                K[at[i, k]] = c
+            np.divide(-1.0, d, out=d)
         # The sweeps leave -K_j^-1 in K.
-        m_inv = kron.transpose(0, 2, 1) @ K.reshape(m * m, P, J).transpose(1, 0, 2)
-        return -m_inv.reshape(P, m, m, J), np.sum(np.log(pivots), axis=(0, 2))
+        m_inv = kron.transpose(0, 2, 1) @ K[mirror].transpose(1, 0, 2)
+        return np.negative(m_inv, out=m_inv).reshape(P, m, m, J), logdet
 
 
-def _dense_assembly(stats, eig, R):
+def _dense_assembly(stats, eig, R, classes):
     """Dense :class:`System` rows, each bordered matrix ``[[A, rhs], [rhs^T, datafit]]`` a product.
 
-    ``eig`` is the :func:`_eigenbasis` and ``R`` (J, m, k) the groups'
-    stacks, k = d' + 1.  A row's bordered matrix is
+    ``eig`` is the :func:`_eigenbasis`, ``R`` (J, m, k) the groups'
+    stacks, k = d' + 1, and ``classes`` the :func:`_gram_classes` of the
+    groups.  A row's bordered matrix is
     ``B_0 + B_1 / sigma2_y - sum_j R_j^T W_j R_j``, with the base matrices
     ``B_0 = [[p I, a], [a^T, a^T a]]`` (prior) and
     ``B_1 = [[diag(lam), b], [b^T, y^T y]]`` (data) and symmetric m x m
-    group weights W_j.  All of it is one product of the rows' weights
-    ``[1, 1 / sigma2_y, -(W_j)_ab for a >= b]`` with a design built here
-    once: one column per lower-triangle entry of the bordered matrix, one
-    row per weight.  A group's rows hold the lower triangles of
+    group weights W_j.  A weight depends on its group only through
+    Z_j^T Z_j, so groups of one class share it, and their terms are one
+    weight times the sum of their products.  All of it is one product of
+    the rows' weights ``[1, 1 / sigma2_y, -(W_u)_ab for a >= b]``, one
+    per class u, with a design built here once: one column per
+    lower-triangle entry of the bordered matrix, one row per weight.  A
+    class's rows hold the sums over its groups of the lower triangles of
     ``R_j[a]^T R_j[b] + R_j[b]^T R_j[a]`` (once for a = b); they are built
     pair by pair, so the largest temporary is (J, k(k+1)/2).
 
-    Returns ``dense(s2y, W, logdet, ok)``, W of shape (P, m, m, J): the
-    product gives each row's lower triangle, which is then mirrored.  The
-    weights, the product and the mirrored matrices are written into
-    buffers that ``dense`` owns and grows to the largest block it has
-    seen, so a call allocates none of them afresh: the system it returns
-    is valid until its next call.
+    Returns ``dense(s2y, W, logdet, ok)``, W of shape (P, m, m, U) for the
+    U classes: the product gives each row's lower triangle, which is then
+    mirrored.  The weights, the product and the mirrored matrices are
+    written into :class:`_Buffers` that ``dense`` owns, so the system it
+    returns is valid until its next call.
     """
     basis, lam, p, a, b = eig
+    _, inverse, counts = classes
     k = lam.size + 1
     bases = np.stack([_border(p * np.eye(k - 1), a, a @ a), _border(np.diag(lam), b, stats.sum_yy)])
     ti, tj, mirror = _tril_mirror(k)
@@ -599,16 +669,16 @@ def _dense_assembly(stats, eig, R):
         pair = R[:, i, ti] * R[:, j, tj]
         if i != j:
             pair += R[:, j, ti] * R[:, i, tj]
-        rows.append(pair)
+        summed = np.zeros((counts.size, ti.size))
+        np.add.at(summed, inverse, pair)
+        rows.append(summed)
     design = np.concatenate(rows)
     d = k - 1
-    buffers = [np.empty((0, n)) for n in (design.shape[0], ti.size, k * k)]
+    buffers = _Buffers(design.shape[0], ti.size, k * k)
 
     def dense(s2y, W, logdet, ok):
         P = s2y.shape[0]
-        if P > buffers[0].shape[0]:
-            buffers[:] = [np.empty((P, buf.shape[1])) for buf in buffers]
-        weights, lower, full = (buf[:P] for buf in buffers)
+        weights, lower, full = buffers.take(P)
         weights[:, 0] = 1.0
         np.divide(1.0, s2y, out=weights[:, 1])
         np.negative(W[:, ga, gb].reshape(P, -1), out=weights[:, 2:])

@@ -104,11 +104,12 @@ def assemble_sigma_eta_batch(struct, variances, rho):
 
     ``variances`` (P, m) fill the diagonal and ``rho`` (P,) the pattern
     positions as rho * sigma_row * sigma_col.  Returns the (P, m, m)
-    matrices and a (P,) mask of those whose smallest eigenvalue is > 0
-    and that ``np.linalg.cholesky`` factors: at |rho| = 1 the computed
-    eigenvalue can be a rounding residue above zero while a pivot is not.
-    A matrix that fails the gate is replaced by the identity, so callers
-    can factor the whole stack and mask the rows.
+    matrices, their lower Cholesky factors and a (P,) mask of those whose
+    smallest eigenvalue is > 0 and that ``np.linalg.cholesky`` factors: at
+    |rho| = 1 the computed eigenvalue can be a rounding residue above zero
+    while a pivot is not.  A matrix that fails the gate is replaced by the
+    identity, and so is its factor, so callers can use the whole stack and
+    mask the rows.
     """
     v = np.asarray(variances, dtype=float)
     P, m = v.shape
@@ -123,15 +124,16 @@ def assemble_sigma_eta_batch(struct, variances, rho):
     ok = np.linalg.eigvalsh(se)[:, 0] > 0
     se = np.where(ok[:, None, None], se, np.eye(m)[None])
     try:
-        np.linalg.cholesky(se)
+        chol = np.linalg.cholesky(se)
     except np.linalg.LinAlgError:
+        chol = np.broadcast_to(np.eye(m), se.shape).copy()
         for i in np.flatnonzero(ok):
             try:
-                np.linalg.cholesky(se[i])
+                chol[i] = np.linalg.cholesky(se[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
                 se[i] = np.eye(m)
-    return se, ok
+    return se, chol, ok
 
 
 def assemble_sigma_eta(struct, variances, rho):
@@ -148,7 +150,7 @@ def assemble_sigma_eta(struct, variances, rho):
         raise ValueError("variances must be strictly positive")
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
-    se, ok = assemble_sigma_eta_batch(struct, v[None], np.array([rho], dtype=float))
+    se, _, ok = assemble_sigma_eta_batch(struct, v[None], np.array([rho], dtype=float))
     if not ok[0]:
         raise NotPositiveDefiniteError(
             f"assembled {struct.m}x{struct.m} covariance is not positive-definite"
@@ -183,13 +185,16 @@ class ParamLayout:
         return len(self.igs) + int(self.rho_sampled)
 
     def sigma_eta(self, nat):
-        """(P, m, m) group-level covariances of natural rows and their PD mask.
+        """Lower Cholesky factors (P, m, m) of the group-level covariances of natural rows, and their PD mask.
 
-        A row without a correlation column uses ``fixed_rho``.
+        The factors are those of the gate in :func:`assemble_sigma_eta_batch`,
+        the identity where a row fails it, so no caller factors Sigma_eta
+        again.  A row without a correlation column uses ``fixed_rho``.
         """
         m = self.group_width
         rho = nat[:, 1 + m] if nat.shape[1] > 1 + m else np.full(nat.shape[0], self.fixed_rho)
-        return assemble_sigma_eta_batch(self.eta_structure, nat[:, 1:1 + m], rho)
+        _, chol, ok = assemble_sigma_eta_batch(self.eta_structure, nat[:, 1:1 + m], rho)
+        return chol, ok
 
 
 @dataclass(frozen=True, eq=False)

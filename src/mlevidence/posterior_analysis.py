@@ -297,12 +297,12 @@ def conditional_eta_means(stats, spec, row, beta):
     if not layout.group_width:
         raise ValueError("group effects exist only for multilevel families")
     nat = np.asarray(row, dtype=float)[None]
-    se, ok = layout.sigma_eta(nat)
+    chol, ok = layout.sigma_eta(nat)
     if not ok[0]:
         raise NotPositiveDefiniteError("group-level covariance is not positive-definite")
     Gz, Szy, Cxz = group_design(stats, layout.z_effects)
     s2y = nat[0, 0]
-    m_inv, _ = group_blocks(np.linalg.cholesky(se), Gz, nat[:, 0])
+    m_inv, _ = group_blocks(chol, Gz, nat[:, 0])
     resid = Szy - np.einsum("jam,a->jm", Cxz, beta)
     return np.einsum("abj,jb->ja", m_inv[0], resid) / s2y
 

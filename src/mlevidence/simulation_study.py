@@ -189,10 +189,9 @@ def generate_dataset(which, cfg, rng):
         struct = EtaCovStructure(m=4, pattern=ETA_PATTERN)
         while True:
             vh = _inv_gamma(rng, 3.0, 0.1, 4)
-            se, ok = assemble_sigma_eta_batch(struct, vh[None], np.array([cfg.rho]))
+            se, chol, ok = assemble_sigma_eta_batch(struct, vh[None], np.array([cfg.rho]))
             if ok[0]:
-                Sh = se[0]
-                Lh = np.linalg.cholesky(Sh)
+                Sh, Lh = se[0], chol[0]
                 break
             retries += 1
             if retries > 100:

@@ -232,8 +232,7 @@ def build_target(stats, spec, mode):
         )
         logp += _variance_block_log_prior(spec, block)
         if meff:
-            se, ok = layout.sigma_eta(variance_block_to_natural(spec, block))
-            Le = np.linalg.cholesky(se)
+            Le, ok = layout.sigma_eta(variance_block_to_natural(spec, block))
             logdet_e = 2.0 * np.sum(np.log(np.einsum("pii->pi", Le)), axis=1)
             eta3 = eta.reshape(U.shape[0], J, meff)
             t = solve_lower(Le[:, None], eta3[..., None])[..., 0]
@@ -247,8 +246,7 @@ def build_target(stats, spec, mode):
         z = rng.standard_normal((size, d)) @ prior.chol.T
         parts = [mu[None, :] + np.sqrt(beta_scale(block))[:, None] * z]
         if meff:
-            se, _ = layout.sigma_eta(variance_block_to_natural(spec, block))
-            Le = np.linalg.cholesky(se)
+            Le, _ = layout.sigma_eta(variance_block_to_natural(spec, block))
             z = rng.standard_normal((size, J, meff))
             eta3 = np.einsum("pab,pjb->pja", Le, z)
             parts.append(eta3.reshape(size, J * meff))

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,17 @@ def make_dataset(rng, n, d, m, J):
     z = rng.normal(size=(n, m))
     group = np.concatenate([np.arange(1, J + 1), rng.integers(1, J + 1, size=n - J)])
     return Dataset(y=y, x=x, z=z, group_of=group)
+
+
+def load_radon_table():
+    """perfbench's seeded radon-schema table generator (its dataclass needs a registered module)."""
+    name = "perfbench_radon_table"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "radon_table.py"
+        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path))
+        sys.modules[name] = module
+        module.__spec__.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def lm_spec(d, ig=IGPrior(3.0, 0.4), scale=0.7):

@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +26,7 @@ from mlevidence.smc_engine import (
     variance_block_to_natural,
 )
 
-from conftest import general_spec, lm_spec, make_dataset, nig_spec, simple_spec
+from conftest import general_spec, lm_spec, load_radon_table, make_dataset, nig_spec, simple_spec
 
 
 def empty_stats(d=2):
@@ -338,23 +335,12 @@ class TestLadderOnSharpTargets:
         assert est.std <= 2.0, est.runs
 
 
-def _load_radon_table():
-    """perfbench's seeded radon-schema table generator (its dataclass needs a registered module)."""
-    name = "perfbench_radon_table"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "radon_table.py"
-        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path))
-        sys.modules[name] = module
-        module.__spec__.loader.exec_module(module)
-    return sys.modules[name]
-
-
 def test_sigma_eta_at_rho_one_is_zero_density_not_an_error(tmp_path):
     """radon:M5 at a row whose atanh(rho) is -23.98: tanh rounds rho to
     -1.0 exactly, the smallest computed eigenvalue of Sigma_eta is a
     rounding residue of 8.9e-16 and ``np.linalg.cholesky`` fails on it.
     The row must get zero density, with no error and no warning."""
-    radon_table = _load_radon_table()
+    radon_table = load_radon_table()
     csv = tmp_path / "radon.csv"
     csv.write_text(radon_table.to_csv(radon_table.draw([1, 0])), encoding="utf-8")
     data, _ = build_radon_design(load_radon_csv(csv), "M5")
