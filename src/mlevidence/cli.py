@@ -385,9 +385,9 @@ def cmd_fit_export(args):
 
     eta_means = None
     if spec.layout.group_width:
-        # The group effects at the weighted-mean variance row; their spread
-        # is not propagated into the bands.
-        bar = cloud.normalized_weights() @ variance_block_to_natural(spec, cloud.particles)
+        # The group effects at the mean natural variance row of the equally
+        # weighted cloud; their spread is not propagated into the bands.
+        bar = variance_block_to_natural(spec, cloud.particles).mean(axis=0)
         eta_means = conditional_eta_means(stats, spec, bar, post.mean)
 
     rows = export_fits(post, meta, eta_means=eta_means)

@@ -897,15 +897,14 @@ class Conditional(NamedTuple):
     W: np.ndarray | None = None         # (P, r, d')
     dense: np.ndarray | None = None     # (P, d', d')
 
-    def weighted_cov(self, w):
-        """``sum_p w_p C_p`` (d', d') for weights w >= 0, with no per-row d' x d' matrix
-        unless the system is dense."""
+    def cov_sum(self):
+        """``sum_p C_p`` (d', d'), with no per-row d' x d' matrix unless the system is dense."""
         if self.dense is not None:
-            return np.tensordot(w, self.dense, axes=1)
-        cov = np.diag(w @ self.diag)
+            return self.dense.sum(axis=0)
+        cov = np.diag(self.diag.sum(axis=0))
         if self.W is not None:
-            Ws = (np.sqrt(w)[:, None, None] * self.W).reshape(-1, self.W.shape[2])
-            cov += Ws.T @ Ws
+            W = self.W.reshape(-1, self.W.shape[2])
+            cov += W.T @ W
         return cov
 
     def in_beta(self):

@@ -1,5 +1,7 @@
 """Posterior recovery, Mahalanobis diagnostics, AIC, Bayes factors and fit export.
 
+Every cloud the sampler returns holds N equally weighted particles at
+tempering exponent 1, so each reduction here is a plain mean over them.
 In integrated mode the coefficient posterior is a mixture of the Gaussian
 conditional posteriors over the sampled variance points: the mixture mean
 averages the conditional means and the mixture covariance adds the
@@ -59,51 +61,44 @@ class PosteriorGaussian:
 
 
 def _conditional_blocks(cloud, stats, spec):
-    """(weights, :class:`Conditional`) blocks of the conditional coefficient posteriors of a cloud.
+    """:class:`Conditional` blocks of the conditional coefficient posteriors of a cloud's particles.
 
     Rows go through the batched conditional in blocks of ``2^18 /
     row_entries`` rows, the kernel's per-row count (see
     ``posterior_system``): a block then holds about 2^18 entries of
     per-row arrays, which are d' x d' matrices only for a dense system.
     """
-    w = cloud.normalized_weights()
     nat = variance_block_to_natural(spec, cloud.particles)
     conditional = batch_conditional_beta(stats, spec)
     step = max(1, 2 ** 18 // conditional.row_entries)
-    for i in range(0, w.shape[0], step):
-        yield w[i:i + step], conditional(nat[i:i + step])
+    for i in range(0, nat.shape[0], step):
+        yield conditional(nat[i:i + step])
 
 
 def beta_posterior_trace(cloud, stats, spec):
-    """Weighted conditional posteriors (weight, mean, cov) along the variance trace."""
-    return [
-        (float(w), mean, cov)
-        for wb, c in _conditional_blocks(cloud, stats, spec)
-        for w, mean, cov in zip(wb, *c.in_beta())
-    ]
+    """Conditional coefficient posteriors (mean, cov), one per particle of the variance trace."""
+    return [pair for c in _conditional_blocks(cloud, stats, spec) for pair in zip(*c.in_beta())]
 
 
 def recover_beta_posterior(cloud, stats, spec, mode):
-    """Gaussian summary of the coefficient posterior from a terminal cloud.
+    """Gaussian summary of the coefficient posterior from an equally weighted cloud at beta = 1.
 
     In integrated mode the mixture is reduced in the kernel's coordinates
-    g (``beta = basis @ g``): the weighted conditional covariances and the
-    spread of the conditional means are summed there, and the basis is
-    applied once to the sum.
+    g (``beta = basis @ g``): the conditional covariances and the spread of
+    the conditional means are averaged there, and the basis is applied
+    once to the average.  In full mode the summary is the sample mean and
+    the N - 1 sample covariance of the coefficient draws.
     """
-    if not np.isclose(cloud.beta_temper, 1.0):
-        raise ValueError("cloud must be at tempering exponent 1")
     if mode == "integrated":
-        w = cloud.normalized_weights()
         means = []
         cov = 0.0
-        for wb, c in _conditional_blocks(cloud, stats, spec):
+        for c in _conditional_blocks(cloud, stats, spec):
             means.append(c.mean)
-            cov += c.weighted_cov(wb)
+            cov += c.cov_sum()
         means = np.concatenate(means)
-        mean = w @ means
-        dm = means - mean[None, :]
-        cov += (dm * w[:, None]).T @ dm
+        mean = means.mean(axis=0)
+        dm = means - mean
+        cov = (cov + dm.T @ dm) / means.shape[0]
         B = c.basis
         cov = B @ cov @ B.T
         cov = 0.5 * (cov + cov.T)
@@ -116,14 +111,9 @@ def recover_beta_posterior(cloud, stats, spec, mode):
         raise SingularCovarianceError(
             f"only {distinct} distinct coefficient draws for dimension {stats.d}"
         )
-    w = cloud.normalized_weights()
-    mean = w @ beta_draws
-    diff = beta_draws - mean[None, :]
-    cov = (diff * w[:, None]).T @ diff
-    denom = 1.0 - float(w @ w)  # weighted analogue of the n-1 correction
-    if denom > 0:
-        cov = cov / denom
-    cov = 0.5 * (cov + cov.T)
+    mean = beta_draws.mean(axis=0)
+    diff = beta_draws - mean
+    cov = diff.T @ diff / (beta_draws.shape[0] - 1)
     return PosteriorGaussian(mean=mean, cov=cov, source="empirical-from-draws")
 
 
@@ -131,19 +121,14 @@ def mahalanobis(b_true, post):
     """Covariance-weighted distance from a point to a posterior summary.
 
     ``post`` is either a PosteriorGaussian (full-likelihood convention) or
-    an iterable of (weight, mean, cov) conditional posteriors, in which
-    case the per-point quadratic forms are averaged under the weights
-    before taking the root.
+    an iterable of (mean, cov) conditional posteriors of equally weighted
+    points, such as :func:`beta_posterior_trace` gives, in which case the
+    per-point quadratic forms are averaged before taking the root.
     """
     b = np.asarray(b_true, dtype=float)
     if isinstance(post, PosteriorGaussian):
         return float(np.sqrt(_quad_form(b - post.mean, post.cov)))
-    total = 0.0
-    wsum = 0.0
-    for w, mu, cov in post:
-        total += w * _quad_form(b - mu, cov)
-        wsum += w
-    return float(np.sqrt(total / wsum))
+    return float(np.sqrt(np.mean([_quad_form(b - mu, cov) for mu, cov in post])))
 
 
 def _quad_form(diff, cov):

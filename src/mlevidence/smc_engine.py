@@ -57,24 +57,22 @@ class DegenerateCloudError(RuntimeError):
 
 @dataclass
 class ParticleCloud:
-    """Weighted particles on the sampling scale, with tempering state."""
+    """N equally weighted particles on the sampling scale, drawn at tempering exponent 1.
+
+    Every cloud the sampler returns is resampled and moved at beta = 1, so
+    its draws are reduced with plain means.  ``log_weights`` is always
+    ``-log N``; it is kept only because the benchmark's ``SimMultilevel``
+    check reads it, and nothing in the package does.
+    """
 
     particles: np.ndarray       # (N, dim)
-    log_weights: np.ndarray     # (N,), normalized
-    beta_temper: float
+    log_weights: np.ndarray     # (N,), all -log N
     log_z_increments: list
     rng_seed: int
     stage: int
     accept_rate: float = float("nan")
     ess_trace: tuple = ()    # ESS after each stage's step, before its resample
     forced_steps: int = 0    # stages whose step the stall guard set, below the ESS target
-
-    def normalized_weights(self):
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return w / w.sum()
-
-    def ess(self):
-        return float(_ess(self.log_weights))
 
 
 @dataclass(frozen=True)
@@ -529,7 +527,6 @@ def _run_batch(stats, spec, mode, n_particles, seeds, *, clouds=True):
         cloud = None if not clouds else ParticleCloud(
             particles=U[r],
             log_weights=np.full(N, -np.log(N)),
-            beta_temper=1.0,
             log_z_increments=increments[r],
             rng_seed=int(seed),
             stage=int(stage[r]),

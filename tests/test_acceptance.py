@@ -386,7 +386,7 @@ def test_criterion7_constant_likelihood_evidence_is_exactly_zero():
     # tempering increment is the log of a weighted mean of equal values
     logz, cloud = run_smc(_empty_stats(), lm_spec(2), "integrated", 256, seed=5)
     assert logz == 0.0
-    assert cloud.beta_temper == 1.0
+    assert np.all(cloud.log_weights == -np.log(256))
 
 
 def test_criterion7_ess_floor_respected_at_every_stage():

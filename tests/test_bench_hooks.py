@@ -2,6 +2,9 @@
 
 A renamed hook target or a reordered ``_mh_sweeps`` signature would make
 the traced benchmark miscount without failing; these counters catch it.
+The workloads themselves (perfbench/workloads.py) run once at their
+smallest size, so that a package change to a field their checks read
+fails here and not first in a benchmark run.
 """
 
 import importlib.util
@@ -10,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mlevidence import likelihood_core, posterior_analysis, smc_engine
 
@@ -114,3 +118,19 @@ def test_benchmark_selftest_passes():
     checks = [line for line in lines[:-1] if line.strip()]
     assert checks and all(line.startswith("ok ") for line in checks), done.stdout
     assert lines[-1] == f"{len(checks)}/{len(checks)} checks behave", done.stdout
+
+
+@pytest.mark.parametrize("name", ["sim-multilevel", "radon-county", "sim-compare"])
+def test_benchmark_workload_round_passes_its_check(name, tmp_path, monkeypatch):
+    """One round of each workload at its smallest size, seed 1: no operation
+    fails and the workload's independent check passes."""
+    monkeypatch.syspath_prepend(str(_SPANS.parent))
+    wl = importlib.import_module("workloads")
+    base = wl.WORKLOADS[name]
+    smallest = {"sim-multilevel": {"K": 1}, "radon-county": {"TABLES": 1}}.get(name, {})
+    workload = type(base.__name__, (base,), smallest)(1, tmp_path)
+    workload.make_inputs()
+    ops = wl.Ops()
+    workload.round(ops)
+    assert ops.failed == 0, ops.errors
+    assert workload.check() == []

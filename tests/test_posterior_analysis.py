@@ -49,6 +49,11 @@ class TestRecoverBetaPosterior:
         post = recover_beta_posterior(cloud, stats, spec, "full")
         assert post.source == "empirical-from-draws"
         assert post.cov.shape == (2, 2)
+        # The cloud is equally weighted: the sample mean and the N - 1 sample covariance.
+        beta_draws = cloud.particles[:, :2]
+        mean, cov = beta_draws.mean(0), np.cov(beta_draws, rowvar=False)
+        assert np.linalg.norm(post.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+        assert np.linalg.norm(post.cov - cov) <= 1e-12 * np.linalg.norm(cov)
         # integrated and full posteriors should roughly agree
         post_i = recover_beta_posterior(
             run_smc(stats, spec, "integrated", 400, seed=5)[1], stats, spec, "integrated"
@@ -60,7 +65,7 @@ class TestRecoverBetaPosterior:
 
         particles = np.zeros((64, 3))  # all identical draws
         cloud = ParticleCloud(
-            particles=particles, log_weights=np.zeros(64), beta_temper=1.0,
+            particles=particles, log_weights=np.full(64, -np.log(64)),
             log_z_increments=(), rng_seed=0, stage=0, accept_rate=1.0,
         )
         data = make_dataset(rng, 10, 2, 0, 2)
@@ -68,22 +73,11 @@ class TestRecoverBetaPosterior:
         with pytest.raises(SingularCovarianceError):
             recover_beta_posterior(cloud, stats, lm_spec(2), "full")
 
-    def test_requires_terminal_cloud(self, rng):
-        from mlevidence.smc_engine import ParticleCloud
-
-        cloud = ParticleCloud(
-            particles=np.zeros((64, 1)), log_weights=np.zeros(64), beta_temper=0.5,
-            log_z_increments=(), rng_seed=0, stage=1, accept_rate=1.0,
-        )
-        data = make_dataset(rng, 10, 2, 0, 2)
-        with pytest.raises(ValueError):
-            recover_beta_posterior(cloud, precompute(data), lm_spec(2), "integrated")
-
     @pytest.mark.parametrize("case", ["lm", "nig", "simple-low-rank", "simple-dense", "general"])
     def test_integrated_mixture_equals_trace_mixture(self, rng, case):
         """The mixture reduced in the kernel's coordinates equals the one built
-        in the coefficients from the trace: sum of w * cov plus the weighted
-        spread of the means, to 1e-12 relative.  SimpleMultilevel runs with
+        in the coefficients from the trace: the mean of the covariances plus
+        the spread of the means, to 1e-12 relative.  SimpleMultilevel runs with
         J < d (low-rank solves) and J >= d (dense)."""
         d, m, J, spec = {
             "lm": (3, 0, 2, lm_spec(3)),
@@ -96,11 +90,10 @@ class TestRecoverBetaPosterior:
         _, cloud = run_smc(stats, spec, "integrated", 64, seed=11)
         post = recover_beta_posterior(cloud, stats, spec, "integrated")
         trace = beta_posterior_trace(cloud, stats, spec)
-        w = np.array([t[0] for t in trace])
-        means = np.array([t[1] for t in trace])
-        mean = w @ means
+        means = np.array([t[0] for t in trace])
+        mean = means.mean(axis=0)
         dm = means - mean
-        cov = sum(t[0] * t[2] for t in trace) + (dm * w[:, None]).T @ dm
+        cov = np.mean([t[1] for t in trace], axis=0) + dm.T @ dm / len(trace)
         assert np.linalg.norm(post.mean - mean) <= 1e-12 * np.linalg.norm(mean)
         assert np.linalg.norm(post.cov - cov) <= 1e-12 * np.linalg.norm(cov)
 
@@ -116,8 +109,8 @@ class TestMahalanobis:
 
     def test_trace_averaging(self):
         trace = [
-            (0.5, np.zeros(1), np.array([[1.0]])),
-            (0.5, np.zeros(1), np.array([[4.0]])),
+            (np.zeros(1), np.array([[1.0]])),
+            (np.zeros(1), np.array([[4.0]])),
         ]
         val = mahalanobis(np.array([2.0]), trace)
         assert np.isclose(val, np.sqrt(0.5 * 4.0 + 0.5 * 1.0))
@@ -379,6 +372,6 @@ class TestMahalanobisNotPositiveDefinite:
             mahalanobis(np.ones(2), post)
 
     def test_trace_form(self):
-        trace = [(0.5, np.zeros(2), np.eye(2)), (0.5, np.zeros(2), self.COV)]
+        trace = [(np.zeros(2), np.eye(2)), (np.zeros(2), self.COV)]
         with pytest.raises(np.linalg.LinAlgError):
             mahalanobis(np.ones(2), trace)
