@@ -10,10 +10,11 @@ coefficient posteriors and the AIC profile (with a flat prior).  One
 variance point is a block of one row.
 
 Every kernel works in one whitened eigenbasis of X^T X: whitened by the
-prior covariance, or for a flat prior by the data over the range of X^T X.
-There the single-level precision is diagonal; SimpleMultilevel subtracts
-a rank-r correction ``V^T V`` with one row per group (r = J), and
-GeneralMultilevel a dense sum of per-group corrections.  The kernel keeps
+prior covariance through its Cholesky factor ``spec.prior_chol``, which
+the spec computes once, or for a flat prior by the data over the range
+of X^T X.  There the single-level precision is diagonal; SimpleMultilevel
+subtracts a rank-r correction ``V^T V`` with one row per group (r = J),
+and GeneralMultilevel a dense sum of per-group corrections.  The kernel keeps
 the SimpleMultilevel correction low-rank only while r < d, so the solves
 follow from the shapes of the system alone: diagonal rows cost O(d); with
 the low-rank term the matrix determinant lemma and the Woodbury identity
@@ -34,7 +35,10 @@ inverted one column at a time over all rows and blocks at once, with no
 LAPACK call per block.
 No evaluator runs an LU solve on a triangular factor: residual quadratic
 forms come from a bordered Cholesky factor, other solves from forward
-substitution (:func:`solve_lower`).
+substitution (:func:`solve_lower`).  Large inputs reach a kernel in the
+equal blocks of one rule (:func:`row_blocks`), set by the kernel's
+per-row size, in the integrated likelihood and in the coefficient
+posteriors of a particle cloud alike.
 
 The conjugate family's rows cost O(1): each is its sigma2 = 1 row
 rescaled, so :func:`batch_log_integrated` evaluates that row once and
@@ -85,13 +89,12 @@ class _Recent:
         return entry[1]
 
 
-# Coefficient priors by spec, and kernels by (stats, spec, prior kind).  A
-# kernel is the whole fixed cost of a likelihood (an eigendecomposition and,
-# for a dense system, a design of up to a few MB), and a sampler run, its
-# posterior recovery and the next runs on the same data all ask for it.
-# Two entries cover an evidence estimate and its posterior, or two models
-# used in turn, while keeping at most two designs and their buffers alive.
-_PRIORS = _Recent(2)
+# Kernels by (stats, spec, flat).  A kernel is the whole fixed cost of a
+# likelihood (an eigendecomposition and, for a dense system, a design of up
+# to a few MB), and a sampler run, its posterior recovery and the next runs
+# on the same data all ask for it.  Two entries cover an evidence estimate
+# and its posterior, or two models used in turn, while keeping at most two
+# designs and their buffers alive.
 _KERNEL_CACHE = _Recent(2)
 
 
@@ -138,16 +141,16 @@ class ThetaPoint:
     nu: tuple | None = None
 
     def __post_init__(self):
-        if not self.sigma2_y > 0:
-            raise ValueError("sigma2_y must be strictly positive")
-        if self.sigma2_eta is not None and self.sigma2_eta < 0:
-            raise ValueError("sigma2_eta must be nonnegative")
+        if not 0 < self.sigma2_y < np.inf:
+            raise ValueError("sigma2_y must be strictly positive and finite")
+        if self.sigma2_eta is not None and not 0 <= self.sigma2_eta < np.inf:
+            raise ValueError("sigma2_eta must be nonnegative and finite")
         if self.nu is not None:
             variances, rho = self.nu
             # A copy, so that freezing it leaves the caller's array as it was.
             variances = np.array(variances, dtype=float)
-            if np.any(variances <= 0):
-                raise ValueError("nu variances must be strictly positive")
+            if not np.all((variances > 0) & (variances < np.inf)):
+                raise ValueError("nu variances must be strictly positive and finite")
             if not -1.0 < rho < 1.0:
                 raise ValueError("rho must lie in (-1, 1)")
             variances.setflags(write=False)
@@ -194,36 +197,6 @@ def precompute(data):
         group_cross_xz=group_cross_xz,
         n_per_group=data.n_per_group.astype(np.int64).copy(),
     )
-
-
-class CoefPrior(NamedTuple):
-    """Terms of the coefficient prior N(mu, cov): cov^-1, log|cov| and the
-    lower Cholesky factor of cov (None when flat)."""
-
-    prec: np.ndarray
-    logdet: float
-    chol: np.ndarray | None
-
-    @classmethod
-    def of(cls, spec):
-        """The prior of ``spec``, computed once while it is one of the last two specs asked for.
-
-        Its arrays are read-only, since every caller shares them.
-        """
-
-        def build():
-            L, Linv, logdet = chol_inverse(spec.prior_cov)
-            prec = Linv.T @ Linv
-            prec.setflags(write=False)
-            L.setflags(write=False)
-            return cls(prec, logdet, L)
-
-        return _PRIORS.get((spec,), build)
-
-    @classmethod
-    def flat(cls, d):
-        """Zero prior precision, for the profile likelihood of the AIC."""
-        return cls(np.zeros((d, d)), 0.0, None)
 
 
 @lru_cache
@@ -363,38 +336,39 @@ def theta_row(theta):
 # One kernel per family: natural variance rows -> System.
 # ---------------------------------------------------------------------------
 
-def _eigenbasis(stats, spec, prior):
+def _eigenbasis(stats, spec, flat):
     """The whitened eigenbasis of X^T X: ``(basis, lam, p, a, b)``.
 
     The coordinates g of ``beta = basis @ g`` have prior precision ``p I``,
     ``X^T X = diag(lam)``, prior precision times prior mean ``a`` and
-    ``X^T y = b``.  A proper prior whitens by its covariance ``L L^T``:
-    ``basis = L Q``, where Q diagonalizes ``L^T X^T X L``, and p = 1.  A
-    flat prior whitens by the data: ``basis = Q lam^-1/2`` over the range
-    of X^T X (eigenvalues above 1e-10 times the largest, or times 1), so
-    lam = 1, p = 0 and a = 0.  The null directions of a rank-deficient
-    design drop out; no likelihood depends on them.
+    ``X^T y = b``.  A proper prior whitens by its covariance ``L L^T``,
+    L = ``spec.prior_chol``: ``basis = L Q``, where Q diagonalizes
+    ``L^T X^T X L``, and p = 1.  A flat prior whitens by the data:
+    ``basis = Q lam^-1/2`` over the range of X^T X (eigenvalues above
+    1e-10 times the largest, or times 1), so lam = 1, p = 0 and a = 0.
+    The null directions of a rank-deficient design drop out; no likelihood
+    depends on them.
     """
-    if prior.chol is None:
+    if flat:
         lam, Q = np.linalg.eigh(stats.gram_xx)
         keep = lam > max(lam.max(), 1.0) * 1e-10
         basis = Q[:, keep] / np.sqrt(lam[keep])
         r = basis.shape[1]
         return basis, np.ones(r), 0.0, np.zeros(r), basis.T @ stats.sum_xy
-    L = prior.chol
+    L = spec.prior_chol
     lam, Q = np.linalg.eigh(L.T @ stats.gram_xx @ L)
     a = Q.T @ solve_lower(L, spec.prior_mean[:, None])[:, 0]
     return L @ Q, np.clip(lam, 0.0, None), 1.0, a, Q.T @ (L.T @ stats.sum_xy)
 
 
-def _single_level_kernel(stats, spec, prior):
+def _single_level_kernel(stats, spec, flat):
     """LinearModel and LinearModelNIG, diagonal in the :func:`_eigenbasis`.
 
     One eigendecomposition, then O(d) per row.  The conjugate family's
     prior covariance ``gamma * sigma2 * L L^T`` scales the prior terms by
     ``c = 1 / (gamma * sigma2)``; a flat prior (p = 0) has none.
     """
-    basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    basis, lam, p, a, b = _eigenbasis(stats, spec, flat)
     quad = a @ a    # mu^T cov^-1 mu
 
     def system(nat):
@@ -418,7 +392,7 @@ def _single_level_kernel(stats, spec, prior):
     return system
 
 
-def _sm_kernel(stats, spec, prior):
+def _sm_kernel(stats, spec, flat):
     """SimpleMultilevel: group intercepts integrated out in closed form.
 
     Group j removes ``w_j x_j x_j^T / sigma2_y`` from the single-level
@@ -439,7 +413,7 @@ def _sm_kernel(stats, spec, prior):
     ``R_j = [basis^T x_j  Y_j]``, Y_j the group's response sum, so that it
     holds one group block per distinct n_j.
     """
-    eig = basis, lam, p, a, b = _eigenbasis(stats, spec, prior)
+    eig = basis, lam, p, a, b = _eigenbasis(stats, spec, flat)
     d = lam.size
     quad = a @ a
     grams, inverse, counts = classes = _gram_classes(stats.n_per_group.astype(float)[:, None, None])
@@ -482,7 +456,7 @@ def _sm_kernel(stats, spec, prior):
     return system
 
 
-def _gm_kernel(stats, spec, prior):
+def _gm_kernel(stats, spec, flat):
     """GeneralMultilevel: per-group m x m blocks integrated out, in the :func:`_eigenbasis`.
 
     Group j's effects have posterior precision
@@ -503,7 +477,7 @@ def _gm_kernel(stats, spec, prior):
     Rows whose group-level covariance fails the positive-definiteness gate
     are computed on a stand-in matrix and masked.
     """
-    eig = _eigenbasis(stats, spec, prior)
+    eig = _eigenbasis(stats, spec, flat)
     layout = spec.layout
     R = np.concatenate(
         [stats.group_cross_xz.transpose(0, 2, 1) @ eig[0], stats.group_sum_zy[:, :, None]], axis=2
@@ -537,15 +511,17 @@ _KERNELS = {
 }
 
 
-def posterior_system(stats, spec, prior):
+def posterior_system(stats, spec, flat=False):
     """The family's kernel: a function mapping (P, k) natural variance rows to a :class:`System`.
 
     Natural rows are laid out as ``spec.layout`` says; a GeneralMultilevel
-    row may carry its correlation even when the spec fixes it.  ``prior``
-    is ``CoefPrior.of(spec)``, or ``CoefPrior.flat(d)`` for the AIC
-    profile; every family's kernel takes either.  The function's
-    ``row_entries`` sets the block sizes of :func:`batch_log_integrated`
-    and of the conditional posteriors of a coefficient mixture.
+    row may carry its correlation even when the spec fixes it.  The kernel
+    whitens by the spec's prior factor ``spec.prior_chol``, or with
+    ``flat=True`` (the AIC profile) has a flat coefficient prior; every
+    family's kernel takes either.  The function's ``row_entries`` sets
+    the block sizes of :func:`row_blocks`, in which the integrated
+    likelihood and the conditional posteriors of a coefficient mixture
+    take large inputs.
     It is the size of a row's largest array (the bordered matrix of a
     dense system, the blocks of the distinct Z_j^T Z_j, or the d' diagonal),
     except for a low-rank SimpleMultilevel system, whose count
@@ -555,16 +531,15 @@ def posterior_system(stats, spec, prior):
     rescaled (the conjugate family with a proper prior), so that
     :func:`batch_log_integrated` needs that one row only.
 
-    A kernel is built once per ``(stats, spec, prior kind)``, flat or
-    proper, and returned again for the same objects while it is one of the
-    last two asked for (``_KERNEL_CACHE``).  A dense kernel writes each
+    A kernel is built once per ``(stats, spec, flat)`` and returned again
+    for the same objects while it is one of the last two asked for
+    (``_KERNEL_CACHE``).  A dense kernel writes each
     :class:`System`, and a low-rank one its bordered Woodbury matrices,
     into buffers it owns, so a result is valid until the kernel's next
     call, from any caller; every caller in the package consumes it first.
     A kernel is therefore not to be called from two threads at once.
     """
-    flat = prior.chol is None
-    return _KERNEL_CACHE.get((stats, spec, flat), lambda: _KERNELS[spec.family](stats, spec, prior))
+    return _KERNEL_CACHE.get((stats, spec, flat), lambda: _KERNELS[spec.family](stats, spec, flat))
 
 
 def _gram_classes(grams):
@@ -697,8 +672,9 @@ def solve_lower(L, B):
 
     Leading dimensions broadcast.  The loop runs over k, one row of X per
     step: cheap for the batched small orders of the kernels (group widths
-    and the rank of a correction), and for the single d x d factors of the
-    coefficient prior (:func:`chol_inverse`) it costs a few ms at d = 134.
+    and the rank of a correction), and for the single d x d factors that
+    :func:`chol_inverse` inverts (the coefficient prior of full mode and of
+    the closed-form conjugate evidence) it costs a few ms at d = 134.
     """
     X = np.empty(np.broadcast_shapes(L.shape[:-2], B.shape[:-2]) + B.shape[-2:])
     for i in range(L.shape[-1]):
@@ -782,6 +758,21 @@ def logdet_resid(s):
 _BLOCK_ENTRIES = 2 ** 17
 
 
+def row_blocks(rows, row_entries):
+    """The (P, k) ``rows`` in equal blocks of at most ``2^17 / row_entries`` rows.
+
+    ``row_entries`` is a kernel's (see :func:`posterior_system`).  This is
+    the one block rule of every caller that takes a kernel's rows in blocks.
+    """
+    P = rows.shape[0]
+    most = max(1, _BLOCK_ENTRIES // row_entries)
+    if P <= most:
+        return [rows]
+    blocks = -(-P // most)   # ceil(P / most) blocks of equal size
+    step = -(-P // blocks)
+    return [rows[i:i + step] for i in range(0, P, step)]
+
+
 def batch_log_integrated(stats, spec):
     """Build a vectorized integrated-likelihood evaluator.
 
@@ -790,16 +781,14 @@ def batch_log_integrated(stats, spec):
     single-level families, 2 for SimpleMultilevel, and 1 + m (+1 when the
     correlation is sampled) for GeneralMultilevel.  Rows whose group-level
     covariance is not positive-definite get ``-inf``.  Large inputs are
-    evaluated in equal blocks of at most ``2^17 / row_entries`` rows
-    (see :func:`posterior_system`).
+    evaluated in the equal blocks of :func:`row_blocks`.
 
     A kernel with ``scaled_rows`` costs O(1) per row: the log likelihood
     is ``-0.5 (c0 + n log sigma2 + r0 / sigma2)``, with c0 and r0 the
     constant and residual of the kernel's own sigma2 = 1 row.
     """
-    system = posterior_system(stats, spec, CoefPrior.of(spec))
+    system = posterior_system(stats, spec)
     n = stats.n
-    most = max(1, _BLOCK_ENTRIES // system.row_entries)
     scaled = system.scaled_rows and n > 0   # no data: the generic rows give exactly 0
     if scaled:
         one = system(np.ones((1, 1)))
@@ -818,12 +807,7 @@ def batch_log_integrated(stats, spec):
         return np.where(s.ok, val, -np.inf)
 
     def loglik(theta):
-        P = theta.shape[0]
-        if P <= most:
-            return block_loglik(theta)
-        blocks = -(-P // most)   # ceil(P / most) blocks of equal size
-        rows = -(-P // blocks)
-        return np.concatenate([block_loglik(theta[i:i + rows]) for i in range(0, P, rows)])
+        return np.concatenate([block_loglik(block) for block in row_blocks(theta, system.row_entries)])
 
     return loglik
 
@@ -927,7 +911,7 @@ def batch_conditional_beta(stats, spec):
     and covariances.  Its ``row_entries`` is the kernel's (see
     :func:`posterior_system`).
     """
-    system = posterior_system(stats, spec, CoefPrior.of(spec))
+    system = posterior_system(stats, spec)
 
     def conditional(theta):
         s = system(theta)

@@ -40,8 +40,8 @@ class IGPrior:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("inverse-gamma shape and scale must be positive")
+        if not (0 < self.shape < np.inf and 0 < self.scale < np.inf):
+            raise ValueError("inverse-gamma shape and scale must be positive and finite")
 
     @property
     def mean(self):
@@ -199,7 +199,11 @@ class ParamLayout:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A model family together with all prior hyperparameters."""
+    """A model family together with all prior hyperparameters.
+
+    ``prior_chol`` is the lower Cholesky factor of ``prior_cov``, computed
+    once here; every likelihood kernel whitens by it.
+    """
 
     family: str
     prior_mean: np.ndarray
@@ -209,6 +213,7 @@ class ModelSpec:
     eta_structure: EtaCovStructure | None = None
     corr_prior: CorrelationPrior | None = None
     gamma: float | None = None
+    prior_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -219,16 +224,17 @@ class ModelSpec:
         d = mu.shape[0]
         if cov.shape != (d, d):
             raise ValueError("prior_cov must be d x d")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
+            raise ValueError("prior_mean and prior_cov must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
             raise ValueError("prior_cov must be symmetric within 1e-12")
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("prior_cov admits no Cholesky factorization") from None
-        mu.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "prior_mean", mu)
-        object.__setattr__(self, "prior_cov", cov)
+        for name, arr in (("prior_mean", mu), ("prior_cov", cov), ("prior_chol", chol)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.ig_eta is not None:
             object.__setattr__(self, "ig_eta", tuple(self.ig_eta))
 
@@ -249,8 +255,8 @@ class ModelSpec:
                 raise ValueError("eta_structure/corr_prior only apply to GeneralMultilevel")
         if (self.gamma is not None) != (self.family == "LinearModelNIG"):
             raise ValueError("gamma must be present iff the family is LinearModelNIG")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def __eq__(self, other):
         if not isinstance(other, ModelSpec):

@@ -21,13 +21,13 @@ import numpy as np
 
 from mlevidence.likelihood_core import (
     LOG_2PI,
-    CoefPrior,
     batch_conditional_beta,
     group_blocks,
     group_design,
     logdet_resid,
     posterior_system,
     precompute,
+    row_blocks,
     solve_lower,
 )
 from mlevidence.model_spec import NotPositiveDefiniteError
@@ -63,16 +63,14 @@ class PosteriorGaussian:
 def _conditional_blocks(cloud, stats, spec):
     """:class:`Conditional` blocks of the conditional coefficient posteriors of a cloud's particles.
 
-    Rows go through the batched conditional in blocks of ``2^18 /
-    row_entries`` rows, the kernel's per-row count (see
-    ``posterior_system``): a block then holds about 2^18 entries of
-    per-row arrays, which are d' x d' matrices only for a dense system.
+    Rows go through the batched conditional in the likelihood's blocks
+    (``likelihood_core.row_blocks``), whose per-row arrays are d' x d'
+    matrices only for a dense system.
     """
     nat = variance_block_to_natural(spec, cloud.particles)
     conditional = batch_conditional_beta(stats, spec)
-    step = max(1, 2 ** 18 // conditional.row_entries)
-    for i in range(0, nat.shape[0], step):
-        yield conditional(nat[i:i + step])
+    for block in row_blocks(nat, conditional.row_entries):
+        yield conditional(block)
 
 
 def beta_posterior_trace(cloud, stats, spec):
@@ -164,7 +162,7 @@ def _profile_loglik_builder(stats, spec):
     """
     n = stats.n
     layout = spec.layout
-    system = posterior_system(stats, spec, CoefPrior.flat(stats.d))
+    system = posterior_system(stats, spec, flat=True)
     n_ratios = len(layout.igs) - 1
 
     def profile(u):

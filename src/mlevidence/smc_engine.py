@@ -33,7 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from mlevidence.likelihood_core import CoefPrior, batch_log_full, batch_log_integrated, solve_lower
+from mlevidence.likelihood_core import batch_log_full, batch_log_integrated, chol_inverse, solve_lower
 
 SEED_SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # run k uses master_seed XOR (k+1) * this, mod 2^64
 # Per mode: MH sweeps per stage and their proposal ("independence": a t
@@ -205,7 +205,8 @@ def build_target(stats, spec, mode):
     J = stats.J if meff else 0
     dim = d + J * meff + nv
     lik = batch_log_full(stats, spec)
-    prior = CoefPrior.of(spec)
+    _, prior_inv, prior_logdet = chol_inverse(spec.prior_cov)
+    prior_prec = prior_inv.T @ prior_inv
     mu = spec.prior_mean
 
     def split(U):
@@ -225,8 +226,8 @@ def build_target(stats, spec, mode):
         db = beta - mu[None, :]
         g = beta_scale(block)
         logp = -0.5 * (
-            d * (np.log(2.0 * np.pi) + np.log(g)) + prior.logdet
-            + np.einsum("pa,ab,pb->p", db, prior.prec, db, optimize=True) / g
+            d * (np.log(2.0 * np.pi) + np.log(g)) + prior_logdet
+            + np.einsum("pa,ab,pb->p", db, prior_prec, db, optimize=True) / g
         )
         logp += _variance_block_log_prior(spec, block)
         if meff:
@@ -241,7 +242,7 @@ def build_target(stats, spec, mode):
 
     def sample_prior(rng, size):
         block = _sample_variance_block(spec, rng, size)
-        z = rng.standard_normal((size, d)) @ prior.chol.T
+        z = rng.standard_normal((size, d)) @ spec.prior_chol.T
         parts = [mu[None, :] + np.sqrt(beta_scale(block))[:, None] * z]
         if meff:
             Le, _ = layout.sigma_eta(variance_block_to_natural(spec, block))

@@ -37,8 +37,7 @@ def test_layer_hooks_count_sampler_and_likelihood(rng):
     # Fewer groups than coefficients: the likelihood takes its low-rank form.
     low_rank = likelihood_core.precompute(make_dataset(rng, 60, 5, 0, 2))
     low_rank_spec = simple_spec(5)
-    system = likelihood_core.posterior_system(
-        low_rank, low_rank_spec, likelihood_core.CoefPrior.of(low_rank_spec))
+    system = likelihood_core.posterior_system(low_rank, low_rank_spec)
     assert system(np.ones((1, 2))).V is not None
     tracer = spans.Tracer()
     spans.install_layers(tracer)

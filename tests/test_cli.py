@@ -329,6 +329,9 @@ class TestInputErrors:
                                "ig_y: {shape: 3.0}\n", "missing 1 required positional argument"),
         "missing_key": ("family: LinearModel\nprior_cov: [[1.0]]\n", "missing key 'prior_mean'"),
         "yaml_syntax": ("family: LinearModel\nprior_mean: [0.0\n  bad: : :\n", "line 2, column"),
+        "nan_prior_mean": ("family: LinearModel\nprior_mean: [.nan, 0.0]\n"
+                           "prior_cov: [[1.0, 0.0], [0.0, 1.0]]\nig_y: {shape: 3.0, scale: 1.0}\n",
+                           "prior_mean and prior_cov must be finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_SPECS))

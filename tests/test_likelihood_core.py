@@ -91,6 +91,19 @@ def test_theta_point_keeps_a_frozen_copy_of_the_variances():
     assert theta.nu[0][0] == 0.4
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(sigma2_y=np.inf),
+    dict(sigma2_y=np.nan),
+    dict(sigma2_y=1.0, sigma2_eta=np.nan),
+    dict(sigma2_y=1.0, sigma2_eta=np.inf),
+    dict(sigma2_y=1.0, nu=([np.nan, 1.0], 0.1)),
+    dict(sigma2_y=1.0, nu=([np.inf, 1.0], 0.1)),
+])
+def test_theta_point_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        ThetaPoint(**kwargs)
+
+
 class TestFrozenOracles:
     def test_lm_matches_oracle(self):
         stats = precompute(lm_data())
@@ -535,7 +548,7 @@ class TestPrecomputeSegments:
 
 
 class TestKernelReuse:
-    """A kernel is built once per (stats, spec, prior kind), and a dense one reuses its buffers."""
+    """A kernel is built once per (stats, spec, flat), and a dense one reuses its buffers."""
 
     def test_sampler_and_posterior_build_the_kernel_once(self, rng, monkeypatch):
         from mlevidence.posterior_analysis import recover_beta_posterior
@@ -544,9 +557,9 @@ class TestKernelReuse:
         builds = []
 
         def counted(build):
-            def kernel(stats, spec, prior):
+            def kernel(stats, spec, flat):
                 builds.append((stats, spec))
-                return build(stats, spec, prior)
+                return build(stats, spec, flat)
 
             return kernel
 
@@ -566,7 +579,7 @@ class TestKernelReuse:
     def test_dense_system_is_the_same_after_larger_blocks(self, rng):
         """Growing the buffers for a larger block leaves a smaller block's values as they were."""
         stats, spec = precompute(make_dataset(rng, 60, 3, 2, 4)), general_spec(3, m=2)
-        system = likelihood_core.posterior_system(stats, spec, likelihood_core.CoefPrior.of(spec))
+        system = likelihood_core.posterior_system(stats, spec)
         small = rng.uniform(0.3, 2.0, (3, 3))
         first = system(small)
         assert first.A.ndim == 3
@@ -655,7 +668,7 @@ class TestEqualGramGroups:
         distinct = len({(int(np.sum(data.group_of == j)), int(floor[data.group_of == j].sum()))
                         for j in range(1, data.J + 1)})
         assert data.J == 85 and distinct < 60
-        system = likelihood_core.posterior_system(precompute(data), spec, likelihood_core.CoefPrior.of(spec))
+        system = likelihood_core.posterior_system(precompute(data), spec)
         assert system.row_entries == 6 * 4 * distinct
 
 

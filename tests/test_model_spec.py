@@ -8,6 +8,7 @@ from mlevidence.model_spec import (
     ModelSpec,
     NotPositiveDefiniteError,
     assemble_sigma_eta,
+    assemble_sigma_eta_batch,
     from_config,
     load,
     save,
@@ -28,6 +29,11 @@ class TestIGPrior:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             IGPrior(-1.0, 1.0)
+
+    @pytest.mark.parametrize("shape, scale", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_rejected(self, shape, scale):
+        with pytest.raises(ValueError, match="finite"):
+            IGPrior(shape, scale)
 
 
 class TestCorrelationPrior:
@@ -66,6 +72,30 @@ class TestAssembleSigmaEta:
         s = assemble_sigma_eta(struct, np.array([2.0, 3.0]), 0.0)
         assert np.allclose(s, np.diag([2.0, 3.0]))
 
+    @pytest.mark.parametrize("variances, rho, factors", [
+        # LAPACK factors the stack, but its smallest eigenvalue is -8.9e-16.
+        ((5.725899520695733, 36139497.96042592), 1.0, True),
+        # The smallest eigenvalue is 4.1e-25 > 0, but the stack does not factor.
+        ((1.0614349312365783e-08, 3.992314979782062e-09), -1.0, False),
+    ])
+    def test_gate_needs_both_the_eigenvalue_and_the_factor(self, variances, rho, factors):
+        """Neither test alone is the gate: each of these rows passes one and fails the other."""
+        struct = EtaCovStructure(m=2, pattern=((0, 1),))
+        v = np.array([variances])
+        off = rho * np.sqrt(v[0, 0]) * np.sqrt(v[0, 1])    # as the gate assembles it
+        raw = np.array([[v[0, 0], off], [off, v[0, 1]]])
+        try:
+            np.linalg.cholesky(raw)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        assert factored == factors
+        assert (np.linalg.eigvalsh(raw)[0] > 0) != factors
+        se, chol, ok = assemble_sigma_eta_batch(struct, v, np.array([rho]))
+        assert not ok[0]
+        np.testing.assert_array_equal(chol[0], np.eye(2))
+        np.testing.assert_array_equal(se[0], np.eye(2))
+
 
 class TestModelSpecValidation:
     def test_callers_arrays_stay_writeable_and_unshared(self):
@@ -75,6 +105,25 @@ class TestModelSpecValidation:
         assert mu.flags.writeable and cov.flags.writeable
         assert spec.prior_mean[0] == 0.0 and spec.prior_cov[0, 0] == 1.0
         assert not spec.prior_mean.flags.writeable and not spec.prior_cov.flags.writeable
+
+    def test_keeps_a_frozen_prior_factor(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        spec = ModelSpec(family="LinearModel", prior_mean=np.zeros(2), prior_cov=cov,
+                         ig_y=IGPrior(3.0, 0.4))
+        np.testing.assert_array_equal(spec.prior_chol, np.linalg.cholesky(cov))
+        assert not spec.prior_chol.flags.writeable
+        assert "prior_chol" not in to_config(spec) and "prior_chol" not in repr(spec)
+
+    @pytest.mark.parametrize("family, mean, cov, gamma", [
+        ("LinearModel", [np.nan, 0.0], np.eye(2), None),
+        ("LinearModel", [np.inf, 0.0], np.eye(2), None),
+        ("LinearModel", [0.0, 0.0], np.diag([np.inf, 1.0]), None),
+        ("LinearModelNIG", [0.0, 0.0], np.eye(2), np.inf),
+    ])
+    def test_non_finite_rejected(self, family, mean, cov, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(family=family, prior_mean=mean, prior_cov=cov,
+                      ig_y=IGPrior(3.0, 0.4), gamma=gamma)
 
     def test_gamma_only_for_nig(self):
         with pytest.raises(ValueError):

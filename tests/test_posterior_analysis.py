@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from mlevidence import likelihood_core
 from mlevidence.data_model import Dataset, RadonTable, build_radon_design
 from mlevidence.likelihood_core import LOG_2PI, ThetaPoint, precompute, theta_row
 from mlevidence.analytic_evidence import nig_posterior
@@ -96,6 +97,24 @@ class TestRecoverBetaPosterior:
         cov = np.mean([t[1] for t in trace], axis=0) + dm.T @ dm / len(trace)
         assert np.linalg.norm(post.mean - mean) <= 1e-12 * np.linalg.norm(mean)
         assert np.linalg.norm(post.cov - cov) <= 1e-12 * np.linalg.norm(cov)
+
+    @pytest.mark.parametrize("make_spec, shape", [
+        (lambda: lm_spec(3), (30, 3, 0, 4)),                                  # diagonal
+        (lambda: simple_spec(5), (40, 5, 0, 2)),                              # low-rank
+        (lambda: simple_spec(2), (40, 2, 0, 4)),                              # dense
+        (lambda: general_spec(3, m=2, sampled_rho=True), (40, 3, 2, 4)),      # dense
+    ])
+    def test_blocked_rows_match_one_block(self, monkeypatch, make_spec, shape):
+        """The cloud reaches the conditional posteriors in the likelihood's
+        blocks; one-row blocks give the one-block mixture to 1e-12 relative."""
+        stats = precompute(make_dataset(np.random.default_rng(2), *shape))
+        spec = make_spec()
+        _, cloud = run_smc(stats, spec, "integrated", 50, seed=3)
+        whole = recover_beta_posterior(cloud, stats, spec, "integrated")
+        monkeypatch.setattr(likelihood_core, "_BLOCK_ENTRIES", 1)   # one row per block
+        split = recover_beta_posterior(cloud, stats, spec, "integrated")
+        assert np.linalg.norm(split.mean - whole.mean) <= 1e-12 * np.linalg.norm(whole.mean)
+        assert np.linalg.norm(split.cov - whole.cov) <= 1e-12 * np.linalg.norm(whole.cov)
 
 
 class TestMahalanobis:
