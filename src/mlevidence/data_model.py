@@ -29,7 +29,7 @@ class InputError(ValueError):
 
 
 class SchemaError(InputError):
-    """A required column is missing or the schema is malformed."""
+    """A required column is missing or repeated, or the schema is malformed."""
 
 
 class ParseError(InputError):
@@ -242,6 +242,8 @@ def _read(path, schema):
             if name not in col_index:
                 more = f" … ({len(header)} columns)" if len(header) > _HEADER_SHOWN else ""
                 raise SchemaError(f"column {name!r} not found in header {header[:_HEADER_SHOWN]}{more}")
+            if (copies := header.count(name)) > 1:
+                raise SchemaError(f"column {name!r} appears {copies} times in the header")
         width = len(header)
         numeric = itemgetter(*(col_index[c] for c in columns))
         gi = col_index[group_col]
@@ -291,6 +293,9 @@ def load_csv(path, schema):
 
     Raises
     ------
+    SchemaError
+        For a column the schema reads that is missing from the header or
+        appears in it more than once.
     ParseError
         For a missing, blank, non-numeric or non-finite (``nan``, ``inf``)
         numeric cell, with the 1-based row number; blank rows are skipped

@@ -21,9 +21,13 @@ the low-rank term the matrix determinant lemma and the Woodbury identity
 need only an r x r Cholesky factor per row; otherwise the d x d precision
 is factored densely.
 
-A dense system is assembled for all rows of a block by one matrix
-product (:func:`_dense_assembly`): per-row weights against a design of
-stacked per-group outer products, built once per kernel.  A group's
+Low-rank and dense rows alike factor a bordered matrix ``[[M, b], [b^T,
+c]]``, whose factor gives log|M| and c - b^T M^-1 b at once, assembled
+for a block as one product of per-row weights with a design built once
+per kernel (:class:`_Assembly`): stacked per-group outer products for a
+dense system (:func:`_dense_assembly`), and for the low-rank one its
+Woodbury factor in scaled form, free of the per-row scales
+(:class:`LowRank`).  A group's
 block and weight depend on the group only through Z_j^T Z_j, so a dense
 kernel keeps one group block per distinct Z_j^T Z_j
 (:func:`_gram_classes`): its design sums the outer products of the groups
@@ -213,81 +217,79 @@ def _tril_mirror(k):
     return ti, tj, mirror
 
 
-class _Buffers:
-    """Per-row work arrays that a kernel owns, grown to the largest block it has seen.
+class _Assembly:
+    """Bordered matrices ``[[M, b], [b^T, c]]`` (P, k+1, k+1), each row one product ``weights @ design``.
 
-    ``take(P)`` gives P-row views of them, so a call of P rows allocates
-    none of them afresh: what is written there is valid until the next call.
+    ``design`` (q, T), zero until its kernel fills it once, has one column
+    per lower-triangle entry in ``np.tril_indices`` order (``tri``);
+    ``diag``, ``border`` and ``corner`` are those of M's diagonal, b and c.
+    The caller fills ``weights(P)`` and calls the assembly on them.  The
+    weights, the product and its mirror are views of buffers grown to the
+    largest block seen, so a result is valid until the next call.
     """
 
-    def __init__(self, *widths):
-        self.arrays = [np.empty((0, w)) for w in widths]
+    def __init__(self, k, q):
+        self.order = k + 1
+        ti, tj, self.mirror = _tril_mirror(k + 1)
+        self.tri = ti, tj
+        at = self.mirror.reshape(k + 1, k + 1)
+        self.diag, self.border, self.corner = at[range(k), range(k)], at[k, :k], at[k, k]
+        self.design = np.zeros((q, ti.size))
+        self.buffers = [np.empty((0, w)) for w in (q, ti.size, (k + 1) ** 2)]
 
-    def take(self, P):
-        if P > self.arrays[0].shape[0]:
-            self.arrays = [np.empty((P, a.shape[1])) for a in self.arrays]
-        return [a[:P] for a in self.arrays]
+    def weights(self, P):
+        if P > self.buffers[0].shape[0]:
+            self.buffers = [np.empty((P, a.shape[1])) for a in self.buffers]
+        return self.buffers[0][:P]
+
+    def __call__(self, weights):
+        P = weights.shape[0]
+        _, lower, full = self.buffers
+        lower = np.matmul(weights, self.design, out=lower[:P])
+        k = self.order
+        return np.take(lower, self.mirror, axis=1, out=full[:P], mode="clip").reshape(P, k, k)
 
 
 class LowRank(NamedTuple):
-    """A rank-r correction ``V`` (P, r, d') kept as per-row scales of shared rows.
+    """A rank-r correction ``V = S X`` (P, r, d'): per-row scales S = diag(s) of fixed rows X.
 
-    Row i of each V is ``scale[:, i] * rows[i]``, so the per-row data are
-    (P, r).  ``pairs`` holds the products ``rows[i] * rows[j]`` of the
-    lower-triangle pairs i >= j, one column each, so that
-    ``V diag(x) V^T`` of every row is one product of x with ``pairs``,
-    with no (P, r, d') temporary.  ``mirror`` maps the entries of an
-    (r+1) x (r+1) bordered matrix to those columns, then to r border
-    columns and a corner.  ``buffers`` are the kernel's own, shared by every
-    block's V, and hold the bordered matrices of :meth:`bordered`.
+    Its Woodbury factor is taken in scaled form, ``K' = S^-2 - X D^-1 X^T``
+    (see :func:`logdet_resid`), one product of per-row weights with the
+    fixed design of the kernel's ``assembly``.
     """
 
-    scale: np.ndarray       # (P, r)
-    rows: np.ndarray        # (r, d')
-    pairs: np.ndarray       # (d', r(r+1)/2)
-    tri: tuple              # (i, j) of each column of ``pairs``
-    mirror: np.ndarray      # ((r+1)^2,)
-    buffers: _Buffers       # lower triangles (P, r(r+1)/2 + r + 1), matrices (P, (r+1)^2)
+    inv_s2: np.ndarray          # (P, r)
+    X: np.ndarray               # (r, d')
+    assembly: _Assembly         # weights [x, x y, c, 1/s^2], d' + d' + 1 + r of them
 
-    @classmethod
-    def of(cls, rows):
-        """The shared part, built once per kernel; ``scaled`` gives a block its V."""
-        r = rows.shape[0]
-        ti, tj, mirror = _tril_mirror(r + 1)
-        ti, tj = ti[ti < r], tj[ti < r]
-        buffers = _Buffers(ti.size + r + 1, (r + 1) ** 2)
-        return cls(None, rows, (rows[ti] * rows[tj]).T.copy(), (ti, tj), mirror, buffers)
-
-    def scaled(self, scale):
-        return self._replace(scale=scale)
+    @staticmethod
+    def assembly_of(X):
+        """The assembly of :meth:`bordered`, built once per kernel: -X[i] X[j], X^T, 1 and I rows."""
+        r, d = X.shape
+        assembly = _Assembly(r, 2 * d + 1 + r)
+        design = assembly.design
+        ti, tj = assembly.tri
+        inner = ti < r
+        design[:d, inner] = -(X[ti[inner]] * X[tj[inner]]).T
+        design[d:2 * d, assembly.border] = X.T
+        design[2 * d, assembly.corner] = 1.0
+        design[2 * d + 1 + np.arange(r), assembly.diag] = 1.0
+        return assembly
 
     def bordered(self, x, y, c):
-        """``[[I - V diag(x) V^T, V (x y)], [(V (x y))^T, c]]`` of every row, (P, r+1, r+1).
+        """``[[S^-2 - X diag(x) X^T, X (x y)], [(X (x y))^T, c]]`` of every row, (P, r+1, r+1).
 
         x and y are (P, d'), c is (P,).  With x = 1/A and y = rhs this is
-        K = I - V D^-1 V^T bordered by V D^-1 rhs (see :func:`logdet_resid`).
-        The result is written into the kernel's buffers: it is valid until
-        the next call.
+        K' bordered by X D^-1 rhs (see :func:`logdet_resid`), in the
+        assembly's buffers.
         """
-        ti, tj = self.tri
-        v = self.scale
-        P, r = v.shape
-        n = ti.size
-        # Built in place: fresh (P, n) temporaries cost more than the arithmetic.
-        lower, full = self.buffers.take(P)
-        K = lower[:, :n]
-        np.matmul(x, self.pairs, out=K)
-        K *= v[:, ti]
-        K *= v[:, tj]
-        np.negative(K, out=K)
-        K[:, ti == tj] += 1.0
-        np.multiply(v, (x * y) @ self.rows.T, out=lower[:, n:n + r])
-        lower[:, n + r] = c
-        return np.take(lower, self.mirror, axis=1, out=full, mode="clip").reshape(P, r + 1, r + 1)
-
-    def dense(self):
-        """The full V of shape (P, r, d')."""
-        return self.scale[:, :, None] * self.rows[None]
+        P, d = x.shape
+        weights = self.assembly.weights(P)
+        weights[:, :d] = x
+        np.multiply(x, y, out=weights[:, d:2 * d])
+        weights[:, 2 * d] = c
+        weights[:, 2 * d + 1:] = self.inv_s2
+        return self.assembly(weights)
 
 
 class System(NamedTuple):
@@ -307,8 +309,8 @@ class System(NamedTuple):
     ``datafit`` are views.
 
     A dense system's arrays, and the bordered matrices of a low-rank
-    term's :meth:`LowRank.bordered`, are views of buffers its kernel owns
-    and reuses, so they are valid until the kernel's next call of the
+    term's :meth:`LowRank.bordered`, are views of its kernel's
+    :class:`_Assembly` buffers, valid until the kernel's next call of the
     same kind: a caller that keeps them longer copies them.
     """
 
@@ -406,8 +408,9 @@ def _sm_kernel(stats, spec, flat):
     (:func:`_gram_classes`).
 
     This is where the form of the solves is chosen, from shapes alone.
-    While J < d the system keeps V, so that the solves need only a J x J
-    Woodbury factor per row.  Otherwise the system is dense: the m = 1
+    While J < d the system keeps V = S X (:class:`LowRank`, s_j^2 =
+    w_j / sigma2_y), so that the solves need only a J x J Woodbury factor
+    per row.  Otherwise the system is dense: the m = 1
     case of the GeneralMultilevel assembly (:func:`_dense_assembly`), with
     group weight ``w_j / sigma2_y`` on the outer product of
     ``R_j = [basis^T x_j  Y_j]``, Y_j the group's response sum, so that it
@@ -424,7 +427,7 @@ def _sm_kernel(stats, spec, flat):
     if low_rank:
         yXb = Yj[:, None] * Xb
         yy = Yj ** 2
-        V = LowRank.of(Xb)
+        woodbury = LowRank.assembly_of(Xb)
     else:
         dense = _dense_assembly(stats, eig, np.concatenate([Xb, Yj[:, None]], axis=1)[:, None], classes)
 
@@ -437,6 +440,8 @@ def _sm_kernel(stats, spec, flat):
         if not low_rank:
             return dense(s2y, (w / s2y[:, None])[:, None, None, :], logdet, ok)
         w = w[:, inverse]
+        # s_j^2 = w_j / sigma2_y, floored so that sigma2_eta = 0 keeps a finite 1 / s_j^2.
+        s2 = np.maximum(w / s2y[:, None], np.finfo(float).tiny)
         return System(
             A=p + lam[None, :] / s2y[:, None],
             rhs=p * a[None, :] + (b[None, :] - w @ yXb) / s2y[:, None],
@@ -444,7 +449,7 @@ def _sm_kernel(stats, spec, flat):
             datafit=quad + (stats.sum_yy - w @ yy) / s2y,
             ok=ok,
             basis=basis,
-            V=V.scaled(np.sqrt(w / s2y[:, None])),
+            V=LowRank(1.0 / s2, Xb, woodbury),
         )
 
     # A block size, not a footprint: the low-rank count is set by timing
@@ -535,8 +540,9 @@ def posterior_system(stats, spec, flat=False):
     for the same objects while it is one of the last two asked for
     (``_KERNEL_CACHE``).  A dense kernel writes each
     :class:`System`, and a low-rank one its bordered Woodbury matrices,
-    into buffers it owns, so a result is valid until the kernel's next
-    call, from any caller; every caller in the package consumes it first.
+    into its :class:`_Assembly` buffers, so a result is valid until the
+    kernel's next call, from any caller; every caller in the package
+    consumes it first.
     A kernel is therefore not to be called from two threads at once.
     """
     return _KERNEL_CACHE.get((stats, spec, flat), lambda: _KERNELS[spec.family](stats, spec, flat))
@@ -619,46 +625,40 @@ def _dense_assembly(stats, eig, R, classes):
     ``B_1 = [[diag(lam), b], [b^T, y^T y]]`` (data) and symmetric m x m
     group weights W_j.  A weight depends on its group only through
     Z_j^T Z_j, so groups of one class share it, and their terms are one
-    weight times the sum of their products.  All of it is one product of
-    the rows' weights ``[1, 1 / sigma2_y, -(W_u)_ab for a >= b]``, one
-    per class u, with a design built here once: one column per
-    lower-triangle entry of the bordered matrix, one row per weight.  A
-    class's rows hold the sums over its groups of the lower triangles of
-    ``R_j[a]^T R_j[b] + R_j[b]^T R_j[a]`` (once for a = b); they are built
-    pair by pair, so the largest temporary is (J, k(k+1)/2).
+    weight times the sum of their products.  All of it is one
+    :class:`_Assembly` product of the rows' weights
+    ``[1, 1 / sigma2_y, -(W_u)_ab for a >= b]``, one per class u.  A
+    class's design rows hold the sums over its groups of the lower
+    triangles of ``R_j[a]^T R_j[b] + R_j[b]^T R_j[a]`` (once for a = b),
+    built pair by pair, so the largest temporary is (J, k(k+1)/2).
 
     Returns ``dense(s2y, W, logdet, ok)``, W of shape (P, m, m, U) for the
-    U classes: the product gives each row's lower triangle, which is then
-    mirrored.  The weights, the product and the mirrored matrices are
-    written into :class:`_Buffers` that ``dense`` owns, so the system it
-    returns is valid until its next call.
+    U classes; the system it returns is valid until its next call.
     """
     basis, lam, p, a, b = eig
     _, inverse, counts = classes
-    k = lam.size + 1
-    bases = np.stack([_border(p * np.eye(k - 1), a, a @ a), _border(np.diag(lam), b, stats.sum_yy)])
-    ti, tj, mirror = _tril_mirror(k)
+    d = lam.size
     ga, gb = np.tril_indices(R.shape[1])
-    rows = [bases[:, ti, tj]]
-    for i, j in zip(ga, gb):
+    U = counts.size
+    assembly = _Assembly(d, 2 + ga.size * U)
+    design = assembly.design
+    design[:2, assembly.diag] = np.full(d, p), lam
+    design[:2, assembly.border] = a, b
+    design[:2, assembly.corner] = a @ a, stats.sum_yy
+    ti, tj = assembly.tri
+    for n, (i, j) in enumerate(zip(ga, gb)):
         pair = R[:, i, ti] * R[:, j, tj]
         if i != j:
             pair += R[:, j, ti] * R[:, i, tj]
-        summed = np.zeros((counts.size, ti.size))
-        np.add.at(summed, inverse, pair)
-        rows.append(summed)
-    design = np.concatenate(rows)
-    d = k - 1
-    buffers = _Buffers(design.shape[0], ti.size, k * k)
+        np.add.at(design[2 + n * U:2 + (n + 1) * U], inverse, pair)
 
     def dense(s2y, W, logdet, ok):
         P = s2y.shape[0]
-        weights, lower, full = buffers.take(P)
+        weights = assembly.weights(P)
         weights[:, 0] = 1.0
         np.divide(1.0, s2y, out=weights[:, 1])
         np.negative(W[:, ga, gb].reshape(P, -1), out=weights[:, 2:])
-        np.matmul(weights, design, out=lower)
-        full = np.take(lower, mirror, axis=1, out=full, mode="clip").reshape(P, k, k)
+        full = assembly(weights)
         return System(
             A=full[:, :d, :d], rhs=full[:, :d, d], logdet=logdet, datafit=full[:, d, d], ok=ok,
             basis=basis, bordered=full,
@@ -688,17 +688,6 @@ def chol_inverse(M):
     """``(L, L^-1, log|M|)`` of a positive-definite ``M = L L^T``; raises ``LinAlgError`` otherwise."""
     L = np.linalg.cholesky(M)
     return L, solve_lower(L, np.eye(M.shape[-1])), 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
-def _border(M, b, c):
-    """The bordered matrix ``[[M, b], [b^T, c]]`` of (..., k, k), (..., k) and (...) blocks."""
-    k = b.shape[-1]
-    full = np.empty(b.shape[:-1] + (k + 1, k + 1))
-    full[..., :k, :k] = M
-    full[..., :k, k] = b
-    full[..., k, :k] = b
-    full[..., k, k] = c
-    return full
 
 
 def _bordered(full):
@@ -738,8 +727,11 @@ def logdet_resid(s):
 
     A low-rank row uses ``|D - V^T V| = |D| |K|`` (matrix determinant
     lemma) and ``(D - V^T V)^-1 = D^-1 + (V D^-1)^T K^-1 (V D^-1)``
-    (Woodbury), ``K = I - V D^-1 V^T`` and ``D = diag(A)``: one bordered
-    r x r factor.
+    (Woodbury), ``K = I - V D^-1 V^T`` and ``D = diag(A)``.  With V = S X,
+    ``K = S K' S`` for ``K' = S^-2 - X D^-1 X^T``: the residual is that of
+    K' bordered by X D^-1 rhs (one r x r factor), and
+    ``log|K| = log|K'| + 2 sum_j log s_j``, a term of log|A| that stays out
+    of ``System.logdet`` (the AIC profile reads that without log|A|).
     """
     if s.A.ndim == 3:
         return _bordered(s.bordered)
@@ -748,7 +740,7 @@ def logdet_resid(s):
     if s.V is None:
         return logdet, resid
     logdet_k, resid = _bordered(s.V.bordered(1.0 / s.A, s.rhs, resid))
-    return logdet + logdet_k, resid
+    return logdet + logdet_k - np.sum(np.log(s.V.inv_s2), axis=1), resid
 
 
 # Rows per kernel call: a block's largest temporaries stay near 2^17
@@ -871,8 +863,8 @@ class Conditional(NamedTuple):
 
     Row p is ``N(mean[p], C_p)``.  A dense system gives ``C_p = dense[p]``;
     a diagonal one ``C_p = diag(diag[p])``, plus ``W[p]^T W[p]`` when it has
-    a low-rank term, W the Woodbury factor ``L^-1 V D^-1`` with
-    ``L L^T = I - V D^-1 V^T`` (see :func:`logdet_resid`).
+    a low-rank term, W the Woodbury factor ``L'^-1 X D^-1`` with
+    ``L' L'^T = S^-2 - X D^-1 X^T`` (see :func:`logdet_resid`).
     """
 
     mean: np.ndarray                    # (P, d')
@@ -908,8 +900,9 @@ def batch_conditional_beta(stats, spec):
 
     The returned function maps (P, k) natural variance rows to a
     :class:`Conditional`, whose ``in_beta`` gives the coefficients' means
-    and covariances.  Its ``row_entries`` is the kernel's (see
-    :func:`posterior_system`).
+    and covariances, a low-rank row's through the scaled Woodbury factor
+    ``L'^-1 X D^-1``, with no per-row scale.  Its ``row_entries`` is the
+    kernel's (see :func:`posterior_system`).
     """
     system = posterior_system(stats, spec)
 
@@ -923,9 +916,9 @@ def batch_conditional_beta(stats, spec):
         mean = s.rhs * diag
         if s.V is None:
             return Conditional(mean, s.basis, diag=diag)
-        r = s.V.rows.shape[0]
-        K = s.V.bordered(diag, s.rhs, s.datafit)[:, :r, :r]    # I - V D^-1 V^T
-        W = solve_lower(np.linalg.cholesky(K), s.V.dense() * diag[:, None, :])   # K^-1 = L^-T L^-1
+        r = s.V.X.shape[0]
+        K = s.V.bordered(diag, s.rhs, s.datafit)[:, :r, :r]    # S^-2 - X D^-1 X^T
+        W = solve_lower(np.linalg.cholesky(K), s.V.X * diag[:, None, :])   # K'^-1 = L'^-T L'^-1
         mean += np.einsum("prd,pr->pd", W, np.einsum("prd,pd->pr", W, s.rhs))
         return Conditional(mean, s.basis, diag=diag, W=W)
 

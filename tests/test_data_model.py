@@ -305,6 +305,19 @@ _READER_CASES = {
         "y,g,a,b\n1e308,A,1e308,0\n",
         {"y": [1e308], "x": [[1e308]], "z": [[0.0]], "group_of": [1]},
     ),
+    # A column the schema reads must appear once; a repeated column it does not read is accepted.
+    "repeated_column": (
+        "y,g,a,a,b\n1.0,A,1,2,0\n",
+        (SchemaError, "column 'a' appears 2 times in the header", None),
+    ),
+    "repeated_unread_column": (
+        "y,g,c,a,c,b\n1.0,A,7,1,8,0\n",
+        {"y": [1.0], "x": [[1.0]], "z": [[0.0]], "group_of": [1]},
+    ),
+    "radon_repeated_column": (
+        "county,floor,log_radon,county,log_uranium\nA,0,0.5,B,0.1\n",
+        (SchemaError, "column 'county' appears 2 times in the header", None),
+    ),
     # A blank first line is an empty header, not an empty file.
     "blank_first_line": (
         "\ny,g,a,b\n1.0,A,1,0\n",

@@ -130,13 +130,17 @@ class TestFrozenOracles:
 
 
 class TestBoundaryReductions:
-    def test_simple_ml_vanishing_group_variance_is_lm(self, rng):
-        data = make_dataset(rng, 25, 2, 0, 3)
-        stats = precompute(data)
-        spec_s = simple_spec(2)
-        spec_l = lm_spec(2)
-        a = batch_log_integrated(stats, spec_s)(np.array([[0.9, 1e-300]]))[0]
-        b = batch_log_integrated(stats, spec_l)(np.array([[0.9]]))[0]
+    @pytest.mark.parametrize("sigma2_y", [0.9, 50.0])
+    @pytest.mark.parametrize("sigma2_eta", [1e-300, 0.0])
+    @pytest.mark.parametrize("d", [2, 5], ids=["dense", "low_rank"])
+    def test_simple_ml_vanishing_group_variance_is_lm(self, rng, d, sigma2_eta, sigma2_y):
+        """With J = 3 groups, d = 2 takes the dense system and d = 5 the low-rank one."""
+        stats = precompute(make_dataset(rng, 25, d, 0, 3))
+        spec_s = simple_spec(d)
+        row = np.array([[sigma2_y, sigma2_eta]])
+        assert (likelihood_core.posterior_system(stats, spec_s)(row).V is not None) == (d > 3)
+        a = batch_log_integrated(stats, spec_s)(row)[0]
+        b = batch_log_integrated(stats, lm_spec(d))(np.array([[sigma2_y]]))[0]
         assert abs(a - b) < 1e-10
 
     def test_general_ml_scalar_z_is_simple_ml(self, rng):
@@ -576,16 +580,27 @@ class TestKernelReuse:
         assert len(builds) == 6
         assert len(likelihood_core._KERNEL_CACHE.entries) <= 2
 
-    def test_dense_system_is_the_same_after_larger_blocks(self, rng):
+    @pytest.mark.parametrize("shape", ["dense", "low_rank"])
+    def test_system_is_the_same_after_larger_blocks(self, rng, shape):
         """Growing the buffers for a larger block leaves a smaller block's values as they were."""
-        stats, spec = precompute(make_dataset(rng, 60, 3, 2, 4)), general_spec(3, m=2)
+        if shape == "dense":
+            stats, spec, k = precompute(make_dataset(rng, 60, 3, 2, 4)), general_spec(3, m=2), 3
+        else:
+            stats, spec, k = precompute(make_dataset(rng, 60, 5, 0, 2)), simple_spec(5), 2
         system = likelihood_core.posterior_system(stats, spec)
-        small = rng.uniform(0.3, 2.0, (3, 3))
-        first = system(small)
-        assert first.A.ndim == 3
-        first = first.bordered.copy()
-        system(rng.uniform(0.3, 2.0, (40, 3)))
-        np.testing.assert_array_equal(system(small).bordered, first)
+
+        def values(s):
+            """log|A| and the residuals, and a dense system's bordered matrices, copied."""
+            assert (s.V is None) == (shape == "dense")
+            return [a.copy() for a in (*likelihood_core.logdet_resid(s), s.bordered) if a is not None]
+
+        small = rng.uniform(0.3, 2.0, (3, k))
+        first = values(system(small))
+        values(system(rng.uniform(0.3, 2.0, (40, k))))
+        again = values(system(small))
+        assert len(again) == (3 if shape == "dense" else 2)
+        for got, want in zip(again, first):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEqualGramGroups:
